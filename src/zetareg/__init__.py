@@ -10,7 +10,7 @@ contour route.
 
 from .contour import (
     ComplexGrid,
-    ContourConfig,
+    RegulatorValue,
     branch_map,
     circle_integral,
     ray_integral,
@@ -20,7 +20,6 @@ from .contour import (
 from .fractional import (
     FinitePartResult,
     RegulatorConfig,
-    RegulatorValue,
     finite_part_mellin,
     frac_action_direct_sum,
     frac_regulator,
@@ -29,7 +28,6 @@ from .fractional import (
 )
 from .generator import (
     GeneratorSpec,
-    HankelValidation,
     PhiData,
     build_phi,
     generator_from_dict,

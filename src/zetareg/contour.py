@@ -22,27 +22,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPolynomialError, RadiusTooLargeError
-from .fractional import (
-    RegulatorValue,
-    _phi_reduced_at_neg,
-    _reduced_float_coeffs,
-    require_hankel,
-)
-from .generator import GeneratorSpec
+from .errors import RadiusTooLargeError
+from .generator import GeneratorSpec, require_hankel
 from .quadrature import adaptive_quadrature, integrate_to_infinity
 from .special import gamma_c, polylog_auto, rgamma, zeta_c
 
 TWO_PI = 2.0 * math.pi
+TOL = 1e-11               # node-doubling and quadrature tolerance
+N_CIRCLE = 512            # first circle grid; doubled up to MAX_N_CIRCLE
+MAX_N_CIRCLE = 1 << 15
+TAIL_CUT = 1.0            # the ray splits into [rho, cut] and [cut, inf)
 
 
 @dataclass(frozen=True)
-class ContourConfig:
-    rho: float = 0.25
-    n_circle: int = 512
-    tail_cut: float = 1.0
-    tol: float = 1e-11
-    max_n_circle: int = 1 << 15
+class RegulatorValue:
+    """R_L(alpha) = zeta_part + correction, as computed by ``route``."""
+
+    alpha: complex
+    zeta_part: complex
+    correction: complex
+    total: complex
+    route: str
+    err_estimate: float
+    crosscheck_delta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -55,19 +57,6 @@ class ComplexGrid:
     defined: np.ndarray  # bool
 
 
-def _phi_poly_complex(g: GeneratorSpec) -> np.ndarray:
-    """Coefficients of Phi as a complex polynomial (constant first)."""
-    red = _reduced_float_coeffs(g)
-    return np.array([0.0] + list(red), dtype=complex)
-
-
-def _phi_at(g: GeneratorSpec, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in reversed(_phi_poly_complex(g)):
-        acc = acc * z + c
-    return acc
-
-
 def validate_radius(g: GeneratorSpec, rho: float):
     """Reject rho unless |Phi| < 2 pi on the circle and no nonzero solution
     of Phi(z) = 2 pi i k (the secondary branch points, plus the k = 0
@@ -76,18 +65,10 @@ def validate_radius(g: GeneratorSpec, rho: float):
         raise RadiusTooLargeError("rho must be positive")
     theta = np.linspace(-math.pi, math.pi, 1024, endpoint=False)
     z = rho * np.exp(1j * theta)
-    if np.abs(_phi_at(g, z)).max() >= TWO_PI:
+    if np.abs(np.polyval(g.phi_np, z)).max() >= TWO_PI:
         raise RadiusTooLargeError(
             f"|Phi| reaches 2*pi on the rho = {rho} circle for {g.name!r}")
-    poly = _phi_poly_complex(g)[::-1]  # highest degree first
-    nearest = math.inf
-    if len(poly) > 1:
-        for k in range(-2, 3):
-            shifted = poly.copy()
-            shifted[-1] -= 2j * math.pi * k
-            for r in np.roots(shifted):
-                if abs(r) > 1e-9:
-                    nearest = min(nearest, abs(r))
+    nearest = g.branch_point_radius
     if rho >= 0.9 * nearest:
         raise RadiusTooLargeError(
             f"rho = {rho} too close to a secondary branch point at |z| = {nearest:.4g}")
@@ -97,10 +78,7 @@ def _circle_once(g: GeneratorSpec, alpha: complex, rho: float, n: int) -> comple
     h = TWO_PI / n
     theta = -math.pi + (np.arange(n) + 0.5) * h
     z = rho * np.exp(1j * theta)
-    red = _reduced_float_coeffs(g)
-    phi_reduced = np.zeros_like(z)
-    for c in reversed(red):
-        phi_reduced = phi_reduced * z + c
+    phi_reduced = np.polyval(g.phi_reduced_np, z)
     # continuous branch of log(phi) along theta, anchored near theta = 0
     # where phi(rho) > 0
     ang = np.unwrap(np.angle(phi_reduced))
@@ -116,31 +94,27 @@ def _circle_once(g: GeneratorSpec, alpha: complex, rho: float, n: int) -> comple
     return gamma_c(1.0 + alpha) * rho ** (-(1.0 + alpha)) * total
 
 
-def circle_integral(g: GeneratorSpec, alpha: complex,
-                    cfg: ContourConfig | None = None) -> complex:
+def circle_integral(g: GeneratorSpec, alpha: complex, rho: float = 0.25) -> complex:
     """Gamma(1+alpha)/(2 pi i) times the circle integral of
-    Phi**-(1+alpha) dz/z, node-doubled until stable below cfg.tol."""
-    cfg = cfg or ContourConfig()
+    Phi**-(1+alpha) dz/z, node-doubled until stable below TOL."""
     alpha = complex(alpha)
     require_hankel(g)
-    validate_radius(g, cfg.rho)
-    n = cfg.n_circle
-    prev = _circle_once(g, alpha, cfg.rho, n)
-    while n < cfg.max_n_circle:
+    validate_radius(g, rho)
+    n = N_CIRCLE
+    prev = _circle_once(g, alpha, rho, n)
+    while n < MAX_N_CIRCLE:
         n *= 2
-        cur = _circle_once(g, alpha, cfg.rho, n)
-        if abs(cur - prev) < cfg.tol:
+        cur = _circle_once(g, alpha, rho, n)
+        if abs(cur - prev) < TOL:
             return cur
         prev = cur
     return prev
 
 
-def ray_integral(g: GeneratorSpec, alpha: complex,
-                 cfg: ContourConfig | None = None) -> complex:
+def ray_integral(g: GeneratorSpec, alpha: complex, rho: float = 0.25) -> complex:
     """1/Gamma(-alpha) * int_rho^inf (-Phi(-x))**-(1+alpha) dx/x.
 
     Exactly zero at nonnegative integer alpha (1/Gamma(-m) = 0)."""
-    cfg = cfg or ContourConfig()
     alpha = complex(alpha)
     require_hankel(g)
     rg = rgamma(-alpha)
@@ -148,22 +122,21 @@ def ray_integral(g: GeneratorSpec, alpha: complex,
         return 0.0 + 0.0j
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        base = x * _phi_reduced_at_neg(g, x)  # -Phi(-x) > 0
+        base = x * np.polyval(g.phi_reduced_np, -x)  # -Phi(-x) > 0
         return np.exp(-(1.0 + alpha) * np.log(base)) / x
 
-    cut = max(cfg.tail_cut, cfg.rho)
-    head = adaptive_quadrature(integrand, cfg.rho, cut, tol=cfg.tol / 2)
-    tail = integrate_to_infinity(integrand, cut, tol=cfg.tol / 2)
+    cut = max(TAIL_CUT, rho)
+    head = adaptive_quadrature(integrand, rho, cut, tol=TOL / 2)
+    tail = integrate_to_infinity(integrand, cut, tol=TOL / 2)
     return rg * (head.value + tail.value)
 
 
 def regulator_circle_ray(g: GeneratorSpec, alpha: complex,
-                         cfg: ContourConfig | None = None) -> RegulatorValue:
+                         rho: float = 0.25) -> RegulatorValue:
     """zeta(-alpha) + circle - ray, assembled as a RegulatorValue."""
-    cfg = cfg or ContourConfig()
     alpha = complex(alpha)
-    circ = circle_integral(g, alpha, cfg)
-    ray = ray_integral(g, alpha, cfg)
+    circ = circle_integral(g, alpha, rho)
+    ray = ray_integral(g, alpha, rho)
     zeta_part = zeta_c(-alpha)
     correction = circ - ray
     return RegulatorValue(
@@ -172,7 +145,7 @@ def regulator_circle_ray(g: GeneratorSpec, alpha: complex,
         correction=correction,
         total=zeta_part + correction,
         route="circle_ray",
-        err_estimate=cfg.tol * 4 + 1e-13 * (1.0 + abs(zeta_part)),
+        err_estimate=TOL * 4 + 1e-13 * (1.0 + abs(zeta_part)),
     )
 
 
@@ -189,15 +162,12 @@ def branch_map(g: GeneratorSpec, alpha: complex,
     """Sample Li_{-alpha}(e^{-Phi(z)}) where the series converges.
 
     Grid points with |e^{-Phi(z)}| >= 1 - 1e-9 are undefined (NaN)."""
-    if not g.is_polynomial:
-        raise NotPolynomialError(
-            f"generator {g.name!r} is series-only; branch maps need a polynomial 1/h")
     alpha = complex(alpha)
     xs = np.linspace(re_range[0], re_range[1], nx)
     ys = np.linspace(im_range[0], im_range[1], ny)
     zx, zy = np.meshgrid(xs, ys)  # shape (ny, nx)
     z = zx + 1j * zy
-    w = np.exp(-_phi_at(g, z))
+    w = np.exp(-np.polyval(g.phi_np, z))
     defined = np.abs(w) < 1.0 - DEFINED_MARGIN
     values = np.full(z.shape, complex("nan+nanj"), dtype=complex)
     s = -alpha

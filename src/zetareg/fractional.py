@@ -9,30 +9,29 @@ phi(-x)**(-alpha-1) on [0, 1] (their finite-part integrals 1/(j-alpha-1)
 are added back analytically), and adaptive quadrature elsewhere; the
 regulator is zeta(-alpha) minus that finite part divided by Gamma(-alpha).
 
-``frac_regulator`` dispatches: real alpha within a small distance of a
-nonnegative integer goes to the exact integer formula (or, on request, to
-a Richardson limit of the fractional route), everything else to the
-finite-part route, optionally cross-checked against the contour route.
+``frac_regulator`` dispatches: real alpha at an exact nonnegative integer
+goes to the exact integer formula, everything else (however close to an
+integer) to the finite-part route, optionally cross-checked against the
+contour route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    HankelConditionsFailedError,
-    OutOfRegularizationRegionError,
-    RouteDisagreementError,
-)
-from .generator import GeneratorSpec, build_phi, phi_eval_real, validate_hankel
+from .contour import RegulatorValue, regulator_circle_ray
+from .errors import OutOfRegularizationRegionError, RouteDisagreementError
+from .generator import GeneratorSpec, build_phi, phi_eval_real, require_hankel
 from .integer_trace import trace_integer
 from .quadrature import adaptive_quadrature, integrate_to_infinity
 from .series import PowerSeries
 from .special import polylog_series, rgamma, zeta_c
+
+# largest |fp_mellin - circle_ray| a cross-checked value may show
+CROSSCHECK_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -44,66 +43,10 @@ class FinitePartResult:
 
 
 @dataclass(frozen=True)
-class RegulatorValue:
-    alpha: complex
-    zeta_part: complex
-    correction: complex
-    total: complex
-    route: str
-    err_estimate: float
-    crosscheck_delta: float | None = None
-
-
-@dataclass(frozen=True)
 class RegulatorConfig:
     tol: float = 1e-11
-    integer_snap: float = 1e-3
-    richardson: bool = False
     crosscheck: bool = False
-    crosscheck_tol: float = 1e-7
     rho: float = 0.25
-
-
-@lru_cache(maxsize=None)
-def _hankel_passed(g: GeneratorSpec) -> bool:
-    return validate_hankel(g).passed
-
-
-def require_hankel(g: GeneratorSpec):
-    if not g.is_polynomial:
-        raise HankelConditionsFailedError(
-            f"generator {g.name!r} is series-only; fractional routes need a polynomial 1/h")
-    if not _hankel_passed(g):
-        raise HankelConditionsFailedError(
-            f"generator {g.name!r} fails the Hankel conditions "
-            "(-Phi(-x) positive and increasing)")
-
-
-@lru_cache(maxsize=None)
-def _reduced_float_coeffs(g: GeneratorSpec) -> tuple:
-    """Float coefficients of phi(z) = Phi(z)/z for the polynomial case."""
-    return tuple(float(c) for c in build_phi(g, order=len(g.inv_h) + 1).phi_poly_coeffs[1:])
-
-
-def _phi_reduced_at_neg(g: GeneratorSpec, x: np.ndarray) -> np.ndarray:
-    """phi(-x) for x >= 0; positive on the Hankel class."""
-    acc = np.zeros_like(x)
-    for c in reversed(_reduced_float_coeffs(g)):
-        acc = acc * (-x) + c
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _taylor_switch_radius(g: GeneratorSpec) -> float:
-    """Safe point below the convergence radius of the phi(-x)**s expansion
-    (distance from 0 to the nearest complex zero of phi(-x))."""
-    red = _reduced_float_coeffs(g)
-    if len(red) < 2:
-        return 0.6
-    signed = [(-1) ** k * red[k] for k in range(len(red))]
-    roots = np.roots(signed[::-1])
-    rmin = min(abs(r) for r in roots) if len(roots) else math.inf
-    return min(0.6, 0.65 * rmin)
 
 
 def finite_part_mellin(g: GeneratorSpec, alpha: complex,
@@ -134,7 +77,7 @@ def finite_part_mellin(g: GeneratorSpec, alpha: complex,
     signed = [(-1) ** k * c for k, c in enumerate(taylor.coeffs)]
     coeffs = PowerSeries(signed).as_complex().cpow(s).coeffs
     a, tail_coeffs = coeffs[:J], coeffs[J:J + K]
-    xs = _taylor_switch_radius(g)
+    xs = g.taylor_switch_radius
 
     def integrand_inner(x: np.ndarray) -> np.ndarray:
         acc = np.zeros(x.shape, dtype=complex)
@@ -143,7 +86,7 @@ def finite_part_mellin(g: GeneratorSpec, alpha: complex,
         return np.exp((J - alpha - 2.0) * np.log(x)) * acc
 
     def integrand_outer(x: np.ndarray) -> np.ndarray:
-        base = _phi_reduced_at_neg(g, x)
+        base = np.polyval(g.phi_reduced_np, -x)
         psi = np.exp(s * np.log(base))
         sub = np.zeros(x.shape, dtype=complex)
         for c in reversed(a):
@@ -151,13 +94,15 @@ def finite_part_mellin(g: GeneratorSpec, alpha: complex,
         return np.exp((-alpha - 2.0) * np.log(x)) * (psi - sub)
 
     def integrand_right(x: np.ndarray) -> np.ndarray:
-        base = _phi_reduced_at_neg(g, x)
+        base = np.polyval(g.phi_reduced_np, -x)
         return np.exp(s * np.log(base)) * np.exp((-alpha - 2.0) * np.log(x))
 
     inner = adaptive_quadrature(integrand_inner, 0.0, xs, tol=tol / 3)
     outer = adaptive_quadrature(integrand_outer, xs, 1.0, tol=tol / 3)
     right = integrate_to_infinity(integrand_right, 1.0, tol=tol / 3)
-    analytic = sum(a[j] / (j - alpha - 1.0) for j in range(J))
+    # (j - 1.0) - alpha is exact near the pole at alpha = j - 1, while
+    # (j - alpha) - 1.0 rounds at the ulp of 1 just below it
+    analytic = sum(a[j] / (j - 1.0 - alpha) for j in range(J))
     value = inner.value + outer.value + analytic + right.value
     return FinitePartResult(
         value=value,
@@ -196,10 +141,6 @@ def frac_action_direct_sum(g: GeneratorSpec, alpha: complex, t: float,
     return polylog_series(-complex(alpha), w, tol=tol)
 
 
-def _nearest_nonneg_int(x: float) -> int:
-    return max(0, round(x))
-
-
 def richardson_integer_limit(g: GeneratorSpec, m: int,
                              cfg: RegulatorConfig | None = None,
                              eps_pair: tuple = (1e-2, 1e-3)) -> RegulatorValue:
@@ -234,38 +175,31 @@ def frac_regulator(g: GeneratorSpec, alpha: complex,
                    cfg: RegulatorConfig | None = None) -> RegulatorValue:
     """Dispatching regulator for Re alpha > -1.
 
-    Real alpha within cfg.integer_snap of a nonnegative integer goes to
-    the exact integer formula (route ``integer_formula``) or, when
-    cfg.richardson is set, to the extrapolated fractional limit (route
-    ``integer_limit``); otherwise the finite-part route runs, optionally
-    cross-checked against the circle+ray contour route.
+    Alpha at an exact nonnegative integer goes to the exact integer formula
+    (route ``integer_formula``); otherwise the finite-part route runs,
+    optionally cross-checked against the circle+ray contour route.
     """
     cfg = cfg or RegulatorConfig()
     alpha = complex(alpha)
     if alpha.real <= -1.0:
         raise OutOfRegularizationRegionError(f"Re alpha = {alpha.real} <= -1")
 
-    if alpha.imag == 0.0:
-        m = _nearest_nonneg_int(alpha.real)
-        if abs(alpha.real - m) < cfg.integer_snap:
-            if cfg.richardson:
-                return richardson_integer_limit(g, m, cfg)
-            tv = trace_integer(g, m)
-            return RegulatorValue(
-                alpha=alpha,
-                zeta_part=complex(tv.zeta_part),
-                correction=complex(tv.correction),
-                total=complex(tv.total),
-                route="integer_formula",
-                err_estimate=0.0,
-            )
+    if alpha.imag == 0.0 and alpha.real == round(alpha.real):
+        tv = trace_integer(g, round(alpha.real))
+        return RegulatorValue(
+            alpha=alpha,
+            zeta_part=complex(tv.zeta_part),
+            correction=complex(tv.correction),
+            total=complex(tv.total),
+            route="integer_formula",
+            err_estimate=0.0,
+        )
 
     value = frac_regulator_fp(g, alpha, cfg)
     if cfg.crosscheck:
-        from .contour import ContourConfig, regulator_circle_ray
-        other = regulator_circle_ray(g, alpha, ContourConfig(rho=cfg.rho))
+        other = regulator_circle_ray(g, alpha, rho=cfg.rho)
         delta = abs(value.total - other.total)
-        if delta > cfg.crosscheck_tol:
+        if delta > CROSSCHECK_TOL:
             raise RouteDisagreementError(
                 f"fp_mellin and circle_ray differ by {delta:.3e} at alpha={alpha}")
         value = replace(value, crosscheck_delta=delta)

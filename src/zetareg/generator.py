@@ -5,8 +5,12 @@ rational coefficients; when ``is_polynomial`` is set those coefficients are
 the complete polynomial and evaluation anywhere on the real axis is exact.
 This module builds the antiderivative Phi(t) = integral_0^t p(u) du, its
 reduced factor phi(z) = Phi(z)/z, evaluates the generalized spectral
-function 1/(e^Phi - 1), and checks the Hankel-route conditions
-(-Phi(-x) positive and strictly increasing on the positive axis).
+function 1/(e^Phi - 1), and decides the Hankel-route conditions
+(-Phi(-x) positive and strictly increasing on the positive axis) exactly,
+in rational arithmetic, with Sturm chains.
+``GeneratorSpec`` keeps the data the fractional routes derive from p:
+float Phi and phi coefficients, the Hankel verdict, the Taylor switch
+radius and the nearest branch point.
 
 The fractional-route derivations assume no secondary branch cut crosses
 (-inf, 0]; this is not verified geometrically and is carried as a standing
@@ -20,11 +24,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     EmptySpecError,
+    HankelConditionsFailedError,
     NonpositiveConstantError,
     NotPolynomialError,
 )
@@ -35,7 +42,11 @@ DEFAULT_ORDER = 64
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A generator, held as p(t) = 1/h(t) about t = 0."""
+    """A generator, held as p(t) = 1/h(t) about t = 0.
+
+    Everything derived from a polynomial p is computed on first use and
+    kept on the instance; equality and hashing see only the fields.
+    """
 
     name: str
     inv_h: PowerSeries
@@ -45,21 +56,61 @@ class GeneratorSpec:
     def p0(self) -> Fraction:
         return self.inv_h.coeffs[0]
 
+    @cached_property
+    def phi_coeffs(self) -> tuple:
+        """Exact coefficients of the polynomial Phi, constant (zero) first."""
+        if not self.is_polynomial:
+            raise NotPolynomialError(
+                f"generator {self.name!r} is series-only; global evaluation not available")
+        return self.inv_h.integrate().coeffs
+
+    @cached_property
+    def phi_np(self) -> np.ndarray:
+        """Phi as float coefficients, highest degree first (``np.polyval``)."""
+        arr = np.array([float(c) for c in reversed(self.phi_coeffs)])
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
+    def phi_reduced_np(self) -> np.ndarray:
+        """phi(z) = Phi(z)/z as float coefficients, highest degree first."""
+        return self.phi_np[:-1]
+
+    @cached_property
+    def hankel_passed(self) -> bool:
+        """The exact ``validate_hankel`` verdict, decided once."""
+        return validate_hankel(self)
+
+    @cached_property
+    def taylor_switch_radius(self) -> float:
+        """Safe point below the convergence radius of the phi(-x)**s
+        expansion (distance from 0 to the nearest complex zero of phi(-x))."""
+        red = self.phi_reduced_np[::-1]
+        signed = [(-1) ** k * red[k] for k in range(len(red))]
+        roots = np.roots(signed[::-1])
+        rmin = min(abs(r) for r in roots) if len(roots) else math.inf
+        return min(0.6, 0.65 * rmin)
+
+    @cached_property
+    def branch_point_radius(self) -> float:
+        """|z| of the nearest nonzero solution of Phi(z) = 2 pi i k, k = -2..2
+        (the secondary branch points, plus the zeros of Phi off the origin)."""
+        nearest = math.inf
+        for k in range(-2, 3):
+            shifted = self.phi_np.astype(complex)
+            shifted[-1] -= 2j * math.pi * k
+            for r in np.roots(shifted):
+                if abs(r) > 1e-9:
+                    nearest = min(nearest, abs(r))
+        return nearest
+
 
 @dataclass(frozen=True)
 class PhiData:
-    """Phi = antiderivative of 1/h, with its reduced factor phi = Phi/z."""
+    """Truncated Phi = antiderivative of 1/h, with its reduced factor phi = Phi/z."""
 
     phi_series: PowerSeries
     phi_reduced: PowerSeries
-    phi_poly_coeffs: tuple | None
-
-
-@dataclass(frozen=True)
-class HankelValidation:
-    passed: bool
-    min_neg_phi: float
-    tail_exponent: float
 
 
 def make_generator(coeffs: Sequence, name: str = "", polynomial: bool = True) -> GeneratorSpec:
@@ -101,28 +152,12 @@ def load_generator(path) -> GeneratorSpec:
 def build_phi(g: GeneratorSpec, order: int = DEFAULT_ORDER) -> PhiData:
     """PhiData at the given truncation order for phi_series."""
     phi_series = g.inv_h.truncate(order - 1).integrate()
-    phi_reduced = PowerSeries(phi_series.coeffs[1:])
-    poly = None
-    if g.is_polynomial:
-        poly = g.inv_h.integrate().coeffs
-    return PhiData(phi_series=phi_series, phi_reduced=phi_reduced, phi_poly_coeffs=poly)
-
-
-@lru_cache(maxsize=None)
-def _phi_float_coeffs(g: GeneratorSpec) -> tuple:
-    if not g.is_polynomial:
-        raise NotPolynomialError(
-            f"generator {g.name!r} is series-only; global evaluation not available")
-    return tuple(float(c) for c in g.inv_h.integrate().coeffs)
+    return PhiData(phi_series=phi_series, phi_reduced=PowerSeries(phi_series.coeffs[1:]))
 
 
 def phi_eval_real(g: GeneratorSpec, x: float) -> float:
-    """Phi(x) by Horner evaluation of the exact antiderivative coefficients."""
-    coeffs = _phi_float_coeffs(g)
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    """Phi(x) from the float coefficients of the exact antiderivative."""
+    return float(np.polyval(g.phi_np, x))
 
 
 def neg_phi_neg(g: GeneratorSpec, x: float) -> float:
@@ -137,34 +172,87 @@ def gsf_eval(g: GeneratorSpec, t: float) -> float:
     return 1.0 / math.expm1(phi_eval_real(g, t))
 
 
-def validate_hankel(g: GeneratorSpec, n_points: int = 200,
-                    lo: float = 1e-3, hi: float = 1e3) -> HankelValidation:
-    """Sampled check that -Phi(-x) is positive and strictly increasing.
+def validate_hankel(g: GeneratorSpec) -> bool:
+    """Exact test that -Phi(-x) is positive and strictly increasing on x > 0.
 
-    A logarithmic grid on [lo, hi]; also warns (without failing) when p(t)
-    decreases somewhere on the grid, i.e. h(t) is not non-increasing.
+    -Phi(-x) vanishes at 0 and has derivative p(-x), with p(0) > 0, so the
+    test holds exactly when p(-x) has no root of odd multiplicity on
+    (0, inf).  Also warns (without failing) when p' is negative somewhere
+    on t > 0, i.e. h(t) is not non-increasing.
     """
-    grid = [lo * (hi / lo) ** (i / (n_points - 1)) for i in range(n_points)]
-    vals = [neg_phi_neg(g, x) for x in grid]
-
-    p = g.inv_h
-    pvals = [float(p(x)) for x in grid]
-    if any(b < a for a, b in zip(pvals, pvals[1:])):
+    if not g.is_polynomial:
+        raise NotPolynomialError(
+            f"generator {g.name!r} is series-only; the Hankel test needs a polynomial 1/h")
+    p = list(g.inv_h.coeffs)
+    if not _nonnegative_on_positive_axis(_deriv(p)):
         warnings.warn(
             f"generator {g.name!r}: h(t) is not monotonically non-increasing "
-            "on the sample grid (integer traces are unaffected)",
+            "on t > 0 (integer traces are unaffected)",
             UserWarning,
             stacklevel=2,
         )
+    return _nonnegative_on_positive_axis([(-1) ** k * c for k, c in enumerate(p)])
 
-    positive = all(v > 0 for v in vals)
-    increasing = all(b > a for a, b in zip(vals, vals[1:]))
-    passed = positive and increasing
 
-    tail = float("nan")
-    if vals[-1] > 0:
-        x_lo = hi / 10.0
-        v_lo = neg_phi_neg(g, x_lo)
-        if v_lo > 0:
-            tail = (math.log(vals[-1]) - math.log(v_lo)) / math.log(10.0)
-    return HankelValidation(passed=passed, min_neg_phi=min(vals), tail_exponent=tail)
+def require_hankel(g: GeneratorSpec):
+    if not g.is_polynomial:
+        raise HankelConditionsFailedError(
+            f"generator {g.name!r} is series-only; fractional routes need a polynomial 1/h")
+    if not g.hankel_passed:
+        raise HankelConditionsFailedError(
+            f"generator {g.name!r} fails the Hankel conditions "
+            "(-Phi(-x) positive and increasing)")
+
+
+# --------------------------------------------------------------------------
+# exact sign test for polynomials: Fraction coefficients, constant first
+# --------------------------------------------------------------------------
+
+def _nonnegative_on_positive_axis(f: list) -> bool:
+    """True when the polynomial f takes no negative value on (0, inf)."""
+    f = _trim(f)
+    while f and f[0] == 0:
+        f = f[1:]  # t**k > 0 on the axis
+    return not f or (f[0] > 0 and _odd_root_count(f) == 0)
+
+
+def _odd_root_count(f: list) -> int:
+    """Distinct roots of odd multiplicity on (0, inf) of f, with f(0) != 0.
+
+    The Sturm chain of f counts its distinct roots there and ends in
+    g = gcd(f, f'), where a root of multiplicity k has multiplicity k - 1,
+    so the even-multiplicity roots of f are the odd-multiplicity roots of g.
+    """
+    chain = [f, _deriv(f)]
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    chain.pop()
+    distinct = _sign_changes(q[0] for q in chain) - _sign_changes(q[-1] for q in chain)
+    g = chain[-1]
+    return distinct - _odd_root_count(g) if len(g) > 1 else distinct
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
+def _trim(f: list) -> list:
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _deriv(f: list) -> list:
+    return _trim([k * c for k, c in enumerate(f)][1:])
+
+
+def _rem(f: list, g: list) -> list:
+    """Remainder of f divided by a nonzero trimmed g."""
+    r = list(f)
+    for i in range(len(r) - len(g), -1, -1):
+        c = r[i + len(g) - 1] / g[-1]
+        for j, gj in enumerate(g):
+            r[i + j] -= c * gj
+    return _trim(r[:len(g) - 1])

@@ -253,8 +253,12 @@ _KPOW_CACHE: dict = {}
 
 
 def _k_pows(s: complex, count: int) -> list:
-    """Cached k**(-s) for k = 1..count (shared across a sweep at fixed s)."""
-    lst = _KPOW_CACHE.setdefault(s, [complex(1.0)])
+    """Cached k**(-s) for k = 1..count, for the latest s only (a sweep,
+    such as a branch map, holds s fixed)."""
+    lst = _KPOW_CACHE.get(s)
+    if lst is None:
+        _KPOW_CACHE.clear()
+        lst = _KPOW_CACHE[s] = [complex(1.0)]
     while len(lst) < count:
         k = len(lst) + 1
         lst.append(cmath.exp(-s * math.log(k)))

@@ -2,8 +2,8 @@
 
 The regularized product of the positive integers is exp(-Z_L'(0)); the
 derivative is taken by central differences with Richardson extrapolation,
-evaluating the fractional route strictly at +/-step so the stencil never
-crosses the integer dispatch at alpha = 0.
+evaluating the finite-part route at +/-step, so the stencil avoids the
+exact integer alpha = 0.
 """
 
 from __future__ import annotations

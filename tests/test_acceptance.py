@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zetareg.contour import ContourConfig, branch_map, regulator_circle_ray
+from zetareg.contour import branch_map, regulator_circle_ray
 from zetareg.fractional import (
     frac_action_direct_sum,
     frac_regulator,
@@ -124,8 +124,8 @@ def test_criterion_08_route_equivalence():
         for a in ALPHA_GRID:
             worst_eq = max(worst_eq, abs(frac_regulator_fp(g, a).total
                                          - regulator_circle_ray(g, a).total))
-            r2 = regulator_circle_ray(g, a, ContourConfig(rho=0.2)).total
-            r3 = regulator_circle_ray(g, a, ContourConfig(rho=0.3)).total
+            r2 = regulator_circle_ray(g, a, rho=0.2).total
+            r3 = regulator_circle_ray(g, a, rho=0.3).total
             worst_rho = max(worst_rho, abs(r2 - r3))
     check(8, "route-equivalence", worst_eq <= 1e-7 and worst_rho <= 1e-9,
           f"worst route delta = {worst_eq:.2e}, worst rho delta = {worst_rho:.2e}")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from zetareg.contour import (
-    ContourConfig,
     branch_map,
     circle_integral,
     grid_rows,
@@ -46,15 +45,13 @@ class TestCircle:
 
     def test_rho_independence_with_ray(self):
         for rho in (0.2, 0.3):
-            cfg = ContourConfig(rho=rho)
-            v = circle_integral(CUBIC, 0.5, cfg) - ray_integral(CUBIC, 0.5, cfg)
-            cfg2 = ContourConfig(rho=0.25)
-            w = circle_integral(CUBIC, 0.5, cfg2) - ray_integral(CUBIC, 0.5, cfg2)
+            v = circle_integral(CUBIC, 0.5, rho) - ray_integral(CUBIC, 0.5, rho)
+            w = circle_integral(CUBIC, 0.5, 0.25) - ray_integral(CUBIC, 0.5, 0.25)
             assert v == pytest.approx(w, abs=1e-9)
 
     def test_radius_guard(self):
         with pytest.raises(RadiusTooLargeError):
-            circle_integral(CUBIC, 0.5, ContourConfig(rho=0.95))
+            circle_integral(CUBIC, 0.5, rho=0.95)
         with pytest.raises(RadiusTooLargeError):
             validate_radius(RIEMANN, 7.0)  # |Phi| = 7 > 2 pi on the circle
         validate_radius(CUBIC, 0.25)
@@ -105,8 +102,8 @@ class TestRegulator:
     def test_rho_invariance_of_total(self):
         for g in (RIEMANN, CUBIC, QUINTIC):
             for a in ALPHA_GRID:
-                r2 = regulator_circle_ray(g, a, ContourConfig(rho=0.2)).total
-                r3 = regulator_circle_ray(g, a, ContourConfig(rho=0.3)).total
+                r2 = regulator_circle_ray(g, a, rho=0.2).total
+                r3 = regulator_circle_ray(g, a, rho=0.3).total
                 assert abs(r2 - r3) <= 1e-9
 
     def test_phase_consistency(self):

@@ -26,6 +26,9 @@ CUBIC = make_generator([1, 0, 3], name="cubic")
 QUINTIC = make_generator([1, 0, 0, 0, 5], name="quintic")
 
 NON_INTEGER_ALPHAS = (-0.7, -0.3, 0.25, 0.5, 0.75, 1.2, 1.5, 1.8, 2.3, 2.7)
+# m +/- 10**-k, above 0 only at m = 0 (the region ends at alpha = -1)
+NEAR_INTEGER_ALPHAS = [m + sign * 10.0**-k for m in range(4) for k in range(3, 15)
+                       for sign in (1, -1) if m or sign > 0]
 
 
 def fp_closed_form(a: complex) -> complex:
@@ -132,12 +135,15 @@ class TestDirectSum:
 
 
 class TestDispatcher:
-    def test_integer_snap(self):
-        R = frac_regulator(CUBIC, 1.0)
-        assert R.route == "integer_formula"
-        assert R.total == complex(trace_integer(CUBIC, 1).total)
-        R = frac_regulator(CUBIC, 1.0 + 4e-4)
-        assert R.route == "integer_formula"
+    @pytest.mark.parametrize("alpha", [1.0] + NEAR_INTEGER_ALPHAS)
+    def test_integer_dispatch_only_at_exact_integers(self, alpha):
+        R = frac_regulator(CUBIC, alpha)
+        if alpha == 1.0:
+            assert R.route == "integer_formula"
+            assert R.total == complex(trace_integer(CUBIC, 1).total)
+        else:
+            assert R.route == "fp_mellin"
+            assert abs(R.total - cubic_regulator_closed_form(alpha)) <= 1e-12
 
     def test_fractional_route_off_integers(self):
         R = frac_regulator(CUBIC, 1.5)
@@ -153,12 +159,6 @@ class TestDispatcher:
             R = frac_regulator(RIEMANN, float(m))
             assert R.correction == 0
             assert R.total == complex(zeta_neg_int(m))
-
-    def test_richardson_route(self):
-        cfg = RegulatorConfig(richardson=True)
-        R = frac_regulator(CUBIC, 1.0, cfg)
-        assert R.route == "integer_limit"
-        assert abs(R.total - complex(trace_integer(CUBIC, 1).total)) <= 1e-6
 
     def test_richardson_limits_match_integer_traces(self):
         for m in (1, 2, 3):

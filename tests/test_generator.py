@@ -9,9 +9,11 @@ import pytest
 
 from zetareg.errors import (
     EmptySpecError,
+    HankelConditionsFailedError,
     NonpositiveConstantError,
     NotPolynomialError,
 )
+from zetareg.fractional import frac_regulator_fp
 from zetareg.generator import (
     build_phi,
     generator_from_dict,
@@ -78,10 +80,11 @@ class TestBuildPhi:
         assert d.phi_reduced.coeffs[0] == 1
 
     def test_cubic(self):
-        d = build_phi(make_generator([1, 0, 3]), order=4)
+        g = make_generator([1, 0, 3])
+        d = build_phi(g, order=4)
         assert d.phi_series.coeffs == (F(0), F(1), F(0), F(1), F(0))
         assert d.phi_reduced.coeffs[:3] == (F(1), F(0), F(1))
-        assert d.phi_poly_coeffs == (F(0), F(1), F(0), F(1))
+        assert g.phi_coeffs == (F(0), F(1), F(0), F(1))
 
     def test_termwise_integration(self):
         d = build_phi(make_generator([1, 2, 3]), order=8)
@@ -121,8 +124,7 @@ class TestRealEvaluation:
 
     def test_even_inv_h_gives_odd_phi(self):
         g = make_generator([2, 0, 1, 0, 5])
-        d = build_phi(g, order=10)
-        assert all(d.phi_poly_coeffs[k] == 0 for k in range(0, len(d.phi_poly_coeffs), 2))
+        assert all(g.phi_coeffs[k] == 0 for k in range(0, len(g.phi_coeffs), 2))
         for x in (0.3, 1.7, 12.0):
             assert neg_phi_neg(g, x) == phi_eval_real(g, x)
 
@@ -151,30 +153,80 @@ class TestSpectralFunction:
 
 class TestHankelValidation:
     def test_riemann_passes(self):
-        v = validate_hankel(make_generator([1]))
-        assert v.passed and v.min_neg_phi > 0
-        assert v.tail_exponent == pytest.approx(1.0, abs=1e-6)
+        assert validate_hankel(make_generator([1])) is True
 
     def test_cubic_passes(self):
-        v = validate_hankel(make_generator([1, 0, 3]))
-        assert v.passed
-        assert v.tail_exponent == pytest.approx(3.0, abs=1e-3)
+        assert validate_hankel(make_generator([1, 0, 3])) is True
 
     def test_linear_fails(self):
         # -Phi(-x) = x - x^2 turns negative at x = 2
         assert neg_phi_neg(make_generator([1, 2]), 2.0) == -2.0
-        v = validate_hankel(make_generator([1, 2]))
-        assert not v.passed
+        assert validate_hankel(make_generator([1, 2])) is False
 
     def test_monotonicity_warning(self):
-        # p decreasing near 0 (h increasing) warns but can still pass
+        # p decreasing near 0 (h increasing) warns; p(-x) = 1 + x/10 - x^3
         g = make_generator([1, F(-1, 10), 0, 1])
         with pytest.warns(UserWarning):
-            v = validate_hankel(g)
-        assert isinstance(v.passed, bool)
+            assert validate_hankel(g) is False
 
     def test_no_warning_for_standard_generators(self):
         import warnings as w
         with w.catch_warnings():
             w.simplefilter("error")
             validate_hankel(make_generator([1, 0, 3]))
+
+    @pytest.mark.parametrize("coeffs, passed", [
+        ([1, 2, 3], True),
+        ([1, 2, 1], True),        # p(-x) = (1 - x)^2 touches zero, keeps its sign
+        ([1, 4, 6, 4, 1], True),  # (1 - x)^4
+        ([1, F(1, 1000), F(1, 5 * 10**6)], False),  # sign changes at x = 1382, 3618
+    ])
+    def test_exact_verdicts_without_warning(self, coeffs, passed):
+        import warnings as w
+        with w.catch_warnings():
+            w.simplefilter("error")
+            assert validate_hankel(make_generator(coeffs)) is passed
+
+    def test_accepts_with_warning(self):
+        # (1 - t/2)(1 + t + t^2): p(-x) > 0 on x > 0, but p decreases for large t
+        g = make_generator([1, F(1, 2), F(1, 2), F(-1, 2)])
+        with pytest.warns(UserWarning):
+            assert validate_hankel(g) is True
+
+    def test_far_root_refused(self):
+        # p(-x) = 1 + x - x^2/1e7 changes sign near x = 1e7
+        g = make_generator([1, -1, F(-1, 10**7)])
+        with pytest.warns(UserWarning):
+            assert g.hankel_passed is False
+        with pytest.raises(HankelConditionsFailedError):
+            frac_regulator_fp(g, -0.5)
+
+
+class TestDerivedData:
+    def test_cubic_radii(self):
+        # phi(-x) = 1 + x^2 vanishes at +-i; Phi(z) = z + z^3 at 0 for z = +-i
+        g = make_generator([1, 0, 3])
+        assert g.taylor_switch_radius == 0.6
+        assert g.branch_point_radius == pytest.approx(1.0, abs=1e-12)
+
+    def test_float_coefficients(self):
+        g = make_generator([F(3, 2), 1, 3])
+        assert list(g.phi_np) == [1.0, 0.5, 1.5, 0.0]
+        assert list(g.phi_reduced_np) == [1.0, 0.5, 1.5]
+        with pytest.raises(ValueError):
+            g.phi_np[0] = 2.0
+
+    def test_traces_compute_no_float_data(self):
+        from zetareg.integer_trace import trace_integer
+        g = make_generator([1, 2, 3])
+        trace_integer(g, 3)
+        assert not {"phi_np", "hankel_passed"} & set(vars(g))
+
+    def test_equality_ignores_cached_data(self):
+        g, h = make_generator([1, 0, 3]), make_generator([1, 0, 3])
+        assert g.hankel_passed
+        assert g == h and hash(g) == hash(h)
+
+    def test_series_only_has_no_global_data(self):
+        with pytest.raises(NotPolynomialError):
+            make_generator([1, 1], polynomial=False).phi_np

@@ -202,6 +202,14 @@ class TestPolylogSeries:
         with pytest.raises(ConvergenceError):
             polylog_series(-0.5, 0.99, tol=1e-30, max_terms=50)
 
+    def test_power_cache_keeps_latest_order_only(self):
+        from zetareg.special import _KPOW_CACHE
+        first = polylog_series(-0.5, 0.9)
+        polylog_series(-1.5, 0.9)
+        assert list(_KPOW_CACHE) == [complex(-1.5)]
+        assert polylog_series(-0.5, 0.9) == first
+        assert list(_KPOW_CACHE) == [complex(-0.5)]
+
 
 class TestPolylogNearOne:
     def test_against_direct_series(self):
