@@ -28,7 +28,6 @@ from .fractional import (
 )
 from .generator import (
     GeneratorSpec,
-    PhiData,
     build_phi,
     generator_from_dict,
     gsf_eval,
@@ -44,10 +43,8 @@ from .integer_trace import (
     trace_integer,
     trace_laurent_oracle,
 )
-from .series import PowerSeries, exp_series, monomial
+from .series import PowerSeries, exp_series
 from .special import (
-    BernoulliTable,
-    EulerianTable,
     bernoulli_values,
     eulerian_rows,
     gamma_c,

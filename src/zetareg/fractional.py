@@ -24,7 +24,7 @@ import numpy as np
 
 from .contour import RegulatorValue, regulator_circle_ray
 from .errors import OutOfRegularizationRegionError, RouteDisagreementError
-from .generator import GeneratorSpec, build_phi, phi_eval_real, require_hankel
+from .generator import GeneratorSpec, phi_eval_real, require_hankel
 from .integer_trace import trace_integer
 from .quadrature import adaptive_quadrature, integrate_to_infinity
 from .series import PowerSeries
@@ -73,9 +73,8 @@ def finite_part_mellin(g: GeneratorSpec, alpha: complex,
     J = math.floor(alpha.real) + 3
     K = 120  # Taylor-tail terms kept for the inner interval
     s = -(alpha + 1.0)
-    taylor = build_phi(g, order=J + K + 2).phi_reduced
-    signed = [(-1) ** k * c for k, c in enumerate(taylor.coeffs)]
-    coeffs = PowerSeries(signed).as_complex().cpow(s).coeffs
+    signed = [(-1) ** k * c for k, c in enumerate(g.phi_reduced_np[::-1].tolist())]
+    coeffs = PowerSeries(signed, order=J + K + 1).cpow(s).coeffs
     a, tail_coeffs = coeffs[:J], coeffs[J:J + K]
     xs = g.taylor_switch_radius
 

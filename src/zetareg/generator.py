@@ -37,8 +37,6 @@ from .errors import (
 )
 from .series import PowerSeries
 
-DEFAULT_ORDER = 64
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -105,14 +103,6 @@ class GeneratorSpec:
         return nearest
 
 
-@dataclass(frozen=True)
-class PhiData:
-    """Truncated Phi = antiderivative of 1/h, with its reduced factor phi = Phi/z."""
-
-    phi_series: PowerSeries
-    phi_reduced: PowerSeries
-
-
 def make_generator(coeffs: Sequence, name: str = "", polynomial: bool = True) -> GeneratorSpec:
     """Validated GeneratorSpec from the coefficients of p(t) = 1/h(t)."""
     coeffs = [Fraction(c) for c in coeffs]
@@ -149,10 +139,9 @@ def load_generator(path) -> GeneratorSpec:
         return generator_from_dict(json.load(fh))
 
 
-def build_phi(g: GeneratorSpec, order: int = DEFAULT_ORDER) -> PhiData:
-    """PhiData at the given truncation order for phi_series."""
-    phi_series = g.inv_h.truncate(order - 1).integrate()
-    return PhiData(phi_series=phi_series, phi_reduced=PowerSeries(phi_series.coeffs[1:]))
+def build_phi(g: GeneratorSpec, order: int) -> PowerSeries:
+    """phi = Phi/z, exact, from Phi truncated at the given order."""
+    return PowerSeries(g.inv_h.truncate(order - 1).integrate().coeffs[1:])
 
 
 def phi_eval_real(g: GeneratorSpec, x: float) -> float:

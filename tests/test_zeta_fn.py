@@ -5,12 +5,9 @@ import math
 import pytest
 
 from zetareg.errors import OutOfRegularizationRegionError
-from zetareg.generator import make_generator
-from zetareg.special import gamma_c, zeta_c
+from zetareg.special import zeta_c
+from zetareg.verify import CUBIC, RIEMANN, cubic_closed_form
 from zetareg.zeta_fn import gen_zeta, reg_product
-
-RIEMANN = make_generator([1], name="riemann")
-CUBIC = make_generator([1, 0, 3], name="cubic")
 
 
 class TestGenZeta:
@@ -25,11 +22,9 @@ class TestGenZeta:
             assert abs(gen_zeta(RIEMANN, a) - zeta_c(complex(a))) <= 1e-8
 
     def test_cubic_closed_form(self):
-        import cmath
+        # Z_L(a) = R_L(-a)
         for a in (-1.5, -0.4, 0.3, 0.7):
-            want = zeta_c(complex(a)) + gamma_c(3 * (1 - a) / 2) \
-                * cmath.sin(cmath.pi * a / 2) / gamma_c((3 - a) / 2)
-            assert abs(gen_zeta(CUBIC, a) - want) <= 1e-9
+            assert abs(gen_zeta(CUBIC, a) - cubic_closed_form(-a)) <= 1e-9
 
     def test_region_gate(self):
         with pytest.raises(OutOfRegularizationRegionError):
@@ -37,18 +32,15 @@ class TestGenZeta:
 
 
 class TestRegProduct:
-    def test_riemann_sqrt_two_pi(self):
-        p = reg_product(RIEMANN)
-        assert p.product == pytest.approx(math.sqrt(2 * math.pi), abs=1e-6)
+    def test_riemann_sqrt_two_pi(self, verify_check):
+        assert verify_check("regularized_products").status == "pass"
 
     def test_riemann_z_prime(self):
         p = reg_product(RIEMANN)
         assert p.z_prime_0 == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-7)
 
-    def test_cubic_product(self):
-        p = reg_product(CUBIC)
-        want = math.sqrt(2 * math.pi) * math.exp(-math.pi / 2)
-        assert p.product == pytest.approx(want, abs=1e-6)
+    def test_cubic_product(self, verify_check):
+        assert verify_check("regularized_products").status == "pass"
 
     def test_step_halving_stability(self):
         a = reg_product(CUBIC, step=1e-3).product
