@@ -25,7 +25,7 @@ import numpy as np
 from .errors import RadiusTooLargeError
 from .generator import GeneratorSpec, require_hankel
 from .quadrature import adaptive_quadrature, integrate_to_infinity
-from .special import gamma_c, polylog_auto, rgamma, zeta_c
+from .special import gamma_c, polylog_grid, rgamma, zeta_c
 
 TWO_PI = 2.0 * math.pi
 TOL = 1e-11               # node-doubling and quadrature tolerance
@@ -170,9 +170,7 @@ def branch_map(g: GeneratorSpec, alpha: complex,
     w = np.exp(-np.polyval(g.phi_np, z))
     defined = np.abs(w) < 1.0 - DEFINED_MARGIN
     values = np.full(z.shape, complex("nan+nanj"), dtype=complex)
-    s = -alpha
-    for iy, ix in zip(*np.nonzero(defined)):
-        values[iy, ix] = polylog_auto(s, complex(w[iy, ix]), tol=tol)
+    values[defined] = polylog_grid(-alpha, w[defined], tol=tol)
     return ComplexGrid(re_range=tuple(re_range), im_range=tuple(im_range),
                        nx=nx, ny=ny, values=values, defined=defined)
 
@@ -193,5 +191,4 @@ def grid_rows(grid: ComplexGrid):
 
 def write_grid_csv(grid: ComplexGrid, fh):
     fh.write("re,im,abs,arg,defined\n")
-    for re, im, av, ph, d in grid_rows(grid):
-        fh.write(f"{re:.17g},{im:.17g},{av:.17g},{ph:.17g},{d}\n")
+    fh.writelines(map("%.17g,%.17g,%.17g,%.17g,%d\n".__mod__, grid_rows(grid)))

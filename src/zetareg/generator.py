@@ -19,8 +19,11 @@ assumption for each generator that passes the Hankel check.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,9 +181,25 @@ def validate_hankel(g: GeneratorSpec) -> bool:
             f"generator {g.name!r}: h(t) is not monotonically non-increasing "
             "on t > 0 (integer traces are unaffected)",
             UserWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     return _nonnegative_on_positive_axis([(-1) ** k * c for k, c in enumerate(p)])
+
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """Stacklevel for a ``warnings.warn`` in the calling function that names
+    the first caller outside this package and ``functools`` (through whose
+    ``cached_property`` the ``hankel_passed`` verdict is first asked for)."""
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and (frame.f_code.co_filename.startswith(_PACKAGE_DIR)
+                                 or frame.f_code.co_filename == functools.__file__):
+        frame = frame.f_back
+        level += 1
+    return level
 
 
 def require_hankel(g: GeneratorSpec):

@@ -5,7 +5,8 @@ complex Riemann zeta (Borwein alternating-series acceleration plus the
 functional equation, with an Euler-Maclaurin fallback where the eta
 denominator 1 - 2**(1-s) nearly vanishes), and polylogarithm evaluation in
 the three regimes this package needs: |w| < 1 direct series,
-negative-integer closed form, and the expansion around w = 1.
+negative-integer closed form, and the expansion around w = 1, one value
+at a time or, in ``polylog_grid``, over a whole array of arguments.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, factorial
+
+import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -209,7 +213,7 @@ def polylog_neg_int(m: int, x):
     """
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    if x == 1:
+    if np.any(x == 1):
         raise PoleAtOneError("polylog argument at the w = 1 singularity")
     one = x * 0 + 1
     if m == 0:
@@ -221,20 +225,12 @@ def polylog_neg_int(m: int, x):
     return num / (one - x) ** (m + 1)
 
 
-_KPOW_CACHE: dict = {}
-
-
-def _k_pows(s: complex, count: int) -> list:
-    """Cached k**(-s) for k = 1..count, for the latest s only (a sweep,
-    such as a branch map, holds s fixed)."""
-    lst = _KPOW_CACHE.get(s)
-    if lst is None:
-        _KPOW_CACHE.clear()
-        lst = _KPOW_CACHE[s] = [complex(1.0)]
-    while len(lst) < count:
-        k = len(lst) + 1
-        lst.append(cmath.exp(-s * math.log(k)))
-    return lst
+def _remainder_below(k: int, aw: float, log_aw: float, p: float,
+                     log_tol: float) -> bool:
+    """Whether the tail of sum_k k**(-s) w**k after k terms is below tol:
+    (k+1)**p |w|**(k+1) / (1 - |w| e**(p/(k+1))), p = max(0, -Re s)."""
+    q = aw * math.exp(p / (k + 1))
+    return q < 1.0 and (k + 1) * log_aw + p * math.log(k + 1) - math.log(1.0 - q) <= log_tol
 
 
 def polylog_series(s: complex, w: complex, tol: float = 1e-12,
@@ -256,21 +252,15 @@ def polylog_series(s: complex, w: complex, tol: float = 1e-12,
     log_tol = math.log(tol)
     re_parts, im_parts = [], []
     wk = complex(1.0)
-    kpow = _k_pows(s, min(1024, max_terms))
     k = 0
     while k < max_terms:
         k += 1
-        if k > len(kpow):
-            kpow = _k_pows(s, min(2 * len(kpow), max_terms))
         wk *= w
-        term = kpow[k - 1] * wk
+        term = cmath.exp(-s * math.log(k)) * wk
         re_parts.append(term.real)
         im_parts.append(term.imag)
-        q = aw * math.exp(p / (k + 1))
-        if q < 1.0:
-            log_bound = (k + 1) * log_aw + p * math.log(k + 1) - math.log(1.0 - q)
-            if log_bound <= log_tol:
-                return complex(math.fsum(re_parts), math.fsum(im_parts))
+        if _remainder_below(k, aw, log_aw, p, log_tol):
+            return complex(math.fsum(re_parts), math.fsum(im_parts))
     raise ConvergenceError(
         f"polylog series hit the {max_terms}-term cap at |w| = {aw}")
 
@@ -309,16 +299,90 @@ def polylog_expand_near_one(s: complex, mu: complex, terms: int = 60) -> complex
     return acc
 
 
-def polylog_auto(s: complex, w: complex, tol: float = 1e-12) -> complex:
-    """Li_s(w) on |w| < 1, picking the regime: closed form at nonpositive
-    integer s, direct series away from |w| = 1, near-one expansion else."""
+# polylog_grid sends the cells with |log w| < NEAR_ONE_RADIUS to the
+# expansion about w = 1 and the rest to the direct series.  The principal
+# log has |Im log w| <= pi, so with pi < R < 2 pi every series cell has
+# |w| <= exp(-sqrt(R**2 - pi**2)) = 0.084 and needs a few terms, while the
+# expansion's terms fall like (R / 2 pi)**k: 80 of them reach about 1e-16.
+NEAR_ONE_RADIUS = 4.0
+NEAR_ONE_TERMS = 80
+EPS = np.finfo(float).eps
+# rounding error of a float sum, in units of the magnitudes summed (measured
+# on the expansion: at most about 5 eps where 1/|s - n| cancels, s near 1..5)
+SUM_ROUNDING = 16 * EPS
+
+
+def polylog_grid(s: complex, w, tol: float = 1e-12) -> np.ndarray:
+    """Li_s(w) on an array of arguments |w| < 1.
+
+    Nonpositive integer s takes the Eulerian closed form on every cell.
+    Other s take the expansion about w = 1 (``polylog_expand_near_one``,
+    its coefficients zeta(s-k)/k! computed once per call) where
+    |log w| < NEAR_ONE_RADIUS, and the direct series elsewhere, stopped by
+    the ``polylog_series`` remainder bound at the largest |w| among them,
+    there below rounding rather than tol.  The series also takes the cells
+    with |w| <= 0.99 where the expansion's error estimate exceeds tol and
+    the series' is smaller.  The expansion is invalid at positive integer
+    s, so there the series takes every cell to tol and any |w| > 0.99
+    raises InvalidOrderError.
+    """
     s = complex(s)
-    w = complex(w)
-    if s.imag == 0.0 and s.real == round(s.real) and s.real <= 0.0:
-        return complex(polylog_neg_int(int(-s.real), w))
-    aw = abs(w)
-    if aw >= 1.0:
-        raise DivergentArgumentError(f"|w| = {aw} >= 1")
-    if aw <= 0.99:
-        return polylog_series(s, w, tol)
-    return polylog_expand_near_one(s, cmath.log(w))
+    w = np.asarray(w, dtype=complex)
+    aw = np.abs(w)
+    if np.any(aw >= 1.0):
+        raise DivergentArgumentError(f"|w| = {aw.max()} >= 1")
+    if s.imag == 0.0 and s.real == round(s.real):
+        if s.real <= 0.0:
+            return polylog_neg_int(int(-s.real), w)
+        if np.any(aw > 0.99):
+            raise InvalidOrderError("expansion invalid at positive integer order")
+        return _series_grid(s, w, aw, tol)
+    # |log w| >= -log |w|, so only |w| > e**-R can be near; this also
+    # keeps w = 0 (underflowed e**-Phi) away from the log
+    near = aw > math.exp(-NEAR_ONE_RADIUS)
+    mu = np.log(w[near])
+    inside = np.abs(mu) < NEAR_ONE_RADIUS
+    near[near] = inside
+    mu = mu[inside]
+    coeffs = [zeta_c(s - k) / factorial(k) for k in range(NEAR_ONE_TERMS, -1, -1)]
+    singular = gamma_c(1.0 - s) * np.exp((s - 1.0) * np.log(-mu))
+    value = singular + np.polyval(coeffs, mu)
+    # estimated errors: the expansion's rounding, which grows where its terms
+    # cancel (near a positive integer s = n the singular term is about
+    # |mu|**(n-1) / |s - n|), plus its last term, large at big -Re s; and
+    # the series' rounding, eps sum_k k**p |w|**k ~ Gamma(1+p) / (-log|w|)**(1+p).
+    # A cell with |w| <= 0.99 whose expansion misses tol takes the series
+    # where that is estimated to be more accurate
+    amu = np.abs(mu)
+    err = (SUM_ROUNDING * (np.abs(singular) + np.polyval(np.abs(coeffs), amu))
+           + abs(coeffs[0]) * amu ** NEAR_ONE_TERMS)
+    p = max(0.0, -s.real)
+    series_err = SUM_ROUNDING * np.exp(math.lgamma(1.0 + p) - (1.0 + p) * np.log(-mu.real))
+    keep = ((err <= np.maximum(tol * np.maximum(1.0, np.abs(value)), series_err))
+            | (aw[near] > 0.99))
+    near[near] = keep
+    out = np.empty_like(w)
+    out[near] = value[keep]
+    # the series runs to rounding, not to tol: its cells need a few terms
+    # more, and their error then does not depend on how close their |w|
+    # lies to the largest one, at which the stopping bound is taken
+    out[~near] = _series_grid(s, w[~near], aw[~near], min(tol, EPS))
+    return out
+
+
+def _series_grid(s: complex, w: np.ndarray, aw: np.ndarray, tol: float) -> np.ndarray:
+    """sum_k k**(-s) w**k on every cell, until the remainder bound at the
+    largest |w| < 1 is below tol."""
+    out = np.zeros_like(w)
+    top = aw.max(initial=0.0)
+    if top == 0.0:
+        return out
+    p = max(0.0, -s.real)
+    log_top = math.log(top)
+    log_tol = math.log(tol)
+    wk = np.ones_like(w)
+    for k in count(1):
+        wk *= w
+        out += cmath.exp(-s * math.log(k)) * wk
+        if _remainder_below(k, top, log_top, p, log_tol):
+            return out

@@ -1,7 +1,10 @@
 """Circle + ray contour route and branch-map emission."""
 
+import cmath
 import io
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +18,27 @@ from zetareg.contour import (
     validate_radius,
     write_grid_csv,
 )
-from zetareg.errors import HankelConditionsFailedError, RadiusTooLargeError
-from zetareg.generator import make_generator
+from zetareg.errors import HankelConditionsFailedError, InvalidOrderError, RadiusTooLargeError
+from zetareg.generator import load_generator, make_generator
 from zetareg.integer_trace import trace_integer
-from zetareg.special import rgamma, zeta_c
+from zetareg.special import polylog_series, rgamma, zeta_c
 from zetareg.verify import CUBIC, RIEMANN
+
+DEMO_GENERATORS = Path(__file__).resolve().parent.parent / "demos" / "generators"
+
+# (generator, window, size) of the benchmark's branch-map ops: the demo
+# square, strips across |w| = 1 near the imaginary axis, right-half-plane
+# zooms; plus a window where e**-Phi underflows to 0
+WINDOWS = (
+    ("cubic_odd", (-3, 3, -3, 3), 121),
+    ("riemann", (-0.25, 0.5, -2.5, 2.5), 61),
+    ("mixed", (0.2, 2.2, -1, 1), 101),
+    ("linear", (-1, 2, 0, 3), 161),
+    ("mixed", (-3, 3, -3, 3), 81),
+    ("cubic_odd", (-0.25, 0.5, -2.5, 2.5), 61),
+    ("riemann", (0.2, 2.2, -1, 1), 141),
+    ("riemann", (700, 800, -1, 1), 21),
+)
 
 
 class TestCircle:
@@ -119,6 +138,38 @@ class TestBranchMap:
         undefined = [ln for ln in lines[1:-1] if ln.endswith(",0")]
         for ln in undefined:
             assert ",nan,nan,0" in ln
+
+    def test_positive_integer_order(self):
+        # the expansion about w = 1 is invalid at alpha = -1: a map whose
+        # defined cells all have |w| <= 0.99 is summed, one beyond is refused
+        grid = branch_map(RIEMANN, -1.0, (0.5, 3.0), (-1, 1), 5, 5)
+        assert grid.defined.all()
+        xs, ys = np.linspace(0.5, 3.0, 5), np.linspace(-1, 1, 5)
+        for (iy, ix), v in np.ndenumerate(grid.values):
+            want = polylog_series(1.0, cmath.exp(-complex(xs[ix], ys[iy])))
+            assert abs(v - want) <= 1e-9 * max(1.0, abs(want))
+        with pytest.raises(InvalidOrderError):
+            branch_map(RIEMANN, -1.0, (0.001, 3.0), (-1, 1), 5, 5)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.75, 2.0])
+    def test_no_floating_point_warnings(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, win, n in WINDOWS:
+                g = load_generator(DEMO_GENERATORS / f"{name}.json")
+                grid = branch_map(g, alpha, win[:2], win[2:], n, n)
+                assert np.isfinite(grid.values[grid.defined]).all()
+            grid = branch_map(RIEMANN, -1.0, (700, 800), (-1, 1), 21, 21)
+        assert grid.defined.all() and (grid.values.real[:, -1] == 0).all()
+
+    def test_csv_matches_formatted_rows(self):
+        grid = branch_map(CUBIC, 0.5, (-1.5, 1.5), (-1.5, 1.5), 9, 7)
+        assert grid.defined.any() and not grid.defined.all()
+        buf = io.StringIO()
+        write_grid_csv(grid, buf)
+        want = "re,im,abs,arg,defined\n" + "".join(
+            f"{re:.17g},{im:.17g},{av:.17g},{ph:.17g},{d}\n" for re, im, av, ph, d in grid_rows(grid))
+        assert buf.getvalue() == want
 
     def test_row_major_order(self):
         grid = branch_map(RIEMANN, 0.5, (0.5, 1.5), (0.0, 1.0), 2, 2)

@@ -188,6 +188,16 @@ class TestHankelValidation:
         with pytest.warns(UserWarning):
             assert validate_hankel(g) is True
 
+    def test_warning_names_the_caller(self):
+        # through the cached verdict and the fractional route, the warning
+        # points at this file, not at the library
+        g = make_generator([1, F(1, 2), F(1, 2), F(-1, 2)])
+        with pytest.warns(UserWarning) as direct:
+            validate_hankel(g)
+        with pytest.warns(UserWarning) as routed:
+            frac_regulator_fp(g, 0.5)
+        assert [w.filename for w in direct] + [w.filename for w in routed] == [__file__] * 2
+
     def test_far_root_refused(self):
         # p(-x) = 1 + x - x^2/1e7 changes sign near x = 1e7
         g = make_generator([1, -1, F(-1, 10**7)])

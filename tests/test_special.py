@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from zetareg.errors import (
@@ -15,9 +16,11 @@ from zetareg.errors import (
     PoleAtOneError,
 )
 from zetareg.special import (
+    NEAR_ONE_RADIUS,
     bernoulli_values,
     gamma_c,
     polylog_expand_near_one,
+    polylog_grid,
     polylog_neg_int,
     polylog_series,
     rgamma,
@@ -204,14 +207,6 @@ class TestPolylogSeries:
         with pytest.raises(ConvergenceError):
             polylog_series(-0.5, 0.99, tol=1e-30, max_terms=50)
 
-    def test_power_cache_keeps_latest_order_only(self):
-        from zetareg.special import _KPOW_CACHE
-        first = polylog_series(-0.5, 0.9)
-        polylog_series(-1.5, 0.9)
-        assert list(_KPOW_CACHE) == [complex(-1.5)]
-        assert polylog_series(-0.5, 0.9) == first
-        assert list(_KPOW_CACHE) == [complex(-0.5)]
-
 
 class TestPolylogNearOne:
     def test_against_direct_series(self, verify_check):
@@ -239,6 +234,86 @@ class TestPolylogNearOne:
     def test_out_of_disk(self):
         with pytest.raises(OutOfDiskError):
             polylog_expand_near_one(-0.5, 6.5)
+
+
+def grid_regions(seed=7, n=24):
+    """Arguments w of polylog_grid by region: near w = 1 (|log w| < R),
+    straddling |log w| = R, near w = -1, and far cells (with w = 0 and a
+    subnormal w, as an underflowed e**-Phi gives)."""
+    rng = np.random.default_rng(seed)
+    near = np.exp(-rng.uniform(1e-6, 2.5, n) + 1j * rng.uniform(-3.0, 3.0, n))
+    rho = NEAR_ONE_RADIUS + rng.uniform(-0.1, 0.1, 4 * n)
+    mu = rho * np.exp(1j * rng.uniform(math.pi / 2, 3 * math.pi / 2, 4 * n))
+    edge = np.exp(mu[np.abs(mu.imag) < math.pi][:n])
+    # few cells near -1: mpmath's polylog is slow there
+    minus_one = -(1.0 - 10.0 ** rng.uniform(-8, -2, 6)) * np.exp(1j * rng.uniform(-0.01, 0.01, 6))
+    far = np.append(0.08 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(1j * rng.uniform(-3.2, 3.2, n)),
+                    [0.0, 1e-310j])
+    return {"near": near, "edge": edge, "minus_one": minus_one, "far": far}
+
+
+class TestPolylogGrid:
+    """The array kernel against mpmath and against the scalar regimes, at
+    the branch map's tol."""
+
+    TOL = 1e-9
+    ORDERS = [0.5, -0.75, -1.75, -10.25, 2.5, -1.5 + 0.3j]
+    NEAR_POSITIVE_INTEGER = [2 + 1e-7, 1 - 1e-6]
+    INTEGER_ORDERS = [0, -1, -3]
+
+    @pytest.mark.parametrize("s", ORDERS + NEAR_POSITIVE_INTEGER + INTEGER_ORDERS)
+    def test_against_mpmath(self, s):
+        mp = pytest.importorskip("mpmath")
+        bound = 1e-12 if s in self.INTEGER_ORDERS else self.TOL
+        for region, w in grid_regions().items():
+            if s in self.NEAR_POSITIVE_INTEGER:
+                # the cancellation in the expansion is left to the series
+                # only where |w| <= 0.99; beyond, both lose digits
+                w = w[np.abs(w) <= 0.99]
+            got = polylog_grid(s, w, self.TOL)
+            for wi, gi in zip(w, got):
+                assert close(gi, mp_polylog(mp, complex(s), complex(wi)), bound), (region, wi)
+
+    @pytest.mark.parametrize("s", [0.5, -0.75, -1.75, 2.5, -1.5 + 0.3j])
+    def test_series_cells_sum_to_rounding(self, s):
+        # the series runs to rounding, not to tol, so a cell's error does
+        # not depend on how close its |w| lies to the largest series |w|
+        mp = pytest.importorskip("mpmath")
+        regions = grid_regions()
+        for region in ("edge", "far"):
+            w = regions[region]
+            for wi, gi in zip(w, polylog_grid(s, w, self.TOL)):
+                assert close(gi, mp_polylog(mp, complex(s), complex(wi)), 1e-13), (region, wi)
+
+    def test_large_order_takes_the_more_accurate_regime(self):
+        # at alpha = 20.5 a few near cells miss tol in either regime; the
+        # series alone is 3e-6 off on one of them, the expansion 2e-9
+        mp = pytest.importorskip("mpmath")
+        w = grid_regions()["near"]
+        for wi, gi in zip(w, polylog_grid(-20.5, w, self.TOL)):
+            assert close(gi, mp_polylog(mp, -20.5 + 0j, complex(wi)), 1e-8), wi
+
+    @pytest.mark.parametrize("s", [0.5, -1.75, -1.5 + 0.3j])
+    def test_against_scalar_regimes(self, s):
+        for region, w in grid_regions().items():
+            got = polylog_grid(s, w, self.TOL)
+            for wi, gi in zip(w, got):
+                mu = cmath.log(wi) if wi else None
+                if region in ("near", "edge", "minus_one"):
+                    assert close(gi, polylog_expand_near_one(s, mu), self.TOL), (region, wi)
+                if region in ("edge", "far"):
+                    assert close(gi, polylog_series(s, wi), self.TOL), (region, wi)
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 7])
+    def test_integer_orders_are_the_closed_form(self, m):
+        for w in grid_regions().values():
+            got = polylog_grid(-m, w, self.TOL)
+            want = [complex(polylog_neg_int(m, complex(wi))) for wi in w]
+            assert all(close(a, b, 1e-12) for a, b in zip(got, want))
+
+    def test_divergent_argument(self):
+        with pytest.raises(DivergentArgumentError):
+            polylog_grid(0.5, np.array([0.5, 1.0]))
 
 
 class TestMpmathOracle:
