@@ -44,7 +44,7 @@ _PARSE_ERRORS = (EmptySpecError, NonpositiveConstantError, ValueError, KeyError,
                  OSError, json.JSONDecodeError)
 _MATH_ERRORS = (HankelConditionsFailedError, RadiusTooLargeError,
                 OutOfRegularizationRegionError, NotPolynomialError,
-                QuadratureFailureError, RouteDisagreementError)
+                QuadratureFailureError, RouteDisagreementError, OverflowError)
 
 
 def _fmt(x: float) -> str:
@@ -123,7 +123,7 @@ def cmd_frac(args) -> int:
 
 def cmd_zeta(args) -> int:
     g = _load_gen(args)
-    cfg = RegulatorConfig(tol=args.tol, rho=args.rho)
+    cfg = RegulatorConfig(tol=args.tol)
     rows = ["alpha,re_value,im_value"]
     for a in parse_alpha_grid(args.alpha_grid):
         v = gen_zeta(g, a, cfg)
@@ -206,10 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "for generators L = -h(t) d/dt")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default=1e-11):
-        p.add_argument("--generator", help="generator spec JSON path (default: h = 1)")
+    def common(p, generator=True):
+        if generator:
+            p.add_argument("--generator", help="generator spec JSON path (default: h = 1)")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--tol", type=float, default=tol_default)
+
+    def tol(p, default=1e-11):
+        p.add_argument("--tol", type=float, default=default)
 
     p = sub.add_parser("trace", help="integer trace identities as exact rationals")
     common(p)
@@ -218,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frac", help="fractional regulator over an alpha grid")
     common(p)
+    tol(p)
     p.add_argument("--alpha-grid", default="-0.5:2.5:0.25", help="a:b:step")
     p.add_argument("--rho", type=float, default=0.25)
     p.add_argument("--crosscheck", action="store_true",
@@ -226,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta", help="generalized zeta function Z_L(alpha), Re alpha < 1")
     common(p)
+    tol(p)
     p.add_argument("--alpha-grid", default="-2.5:0.9:0.2", help="a:b:step")
-    p.add_argument("--rho", type=float, default=0.25)
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("product", help="regularized product exp(-Z_L'(0))")
@@ -236,13 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("stirling", help="complex-order Stirling numbers {alpha, k}")
-    common(p)
+    common(p, generator=False)
     p.add_argument("--alpha", required=True, help="complex order, e.g. 0.5 or 2+0.5i")
     p.add_argument("--k-max", type=int, default=10)
     p.set_defaults(func=cmd_stirling)
 
     p = sub.add_parser("branchmap", help="grid of Li_(-alpha)(e^(-Phi(z))) samples")
-    common(p, tol_default=1e-9)
+    common(p)
+    tol(p, default=1e-9)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--grid", default="-3:3:-3:3:121:121",
                    help="re0:re1:im0:im1:nx:ny")

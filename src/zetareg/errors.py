@@ -10,11 +10,7 @@ class ZetaRegError(Exception):
 # --- power series ---------------------------------------------------------
 
 class ZeroConstantTermError(ZetaRegError):
-    """Operation needs a nonzero constant coefficient (reciprocal, log, power)."""
-
-
-class NonzeroInnerConstantError(ZetaRegError):
-    """Series composition f(g) requires g(0) = 0."""
+    """Operation needs a nonzero constant coefficient (reciprocal, power)."""
 
 
 # --- special functions ----------------------------------------------------

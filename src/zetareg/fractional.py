@@ -4,10 +4,12 @@ The primary route evaluates the finite part of the divergent integral
 
     fp int_0^inf x**(-alpha-2) phi(-x)**(-alpha-1) dx
 
-by splitting at x = 1, subtracting the leading Taylor terms of
+by splitting at x = 1 and subtracting the leading Taylor terms of
 phi(-x)**(-alpha-1) on [0, 1] (their finite-part integrals 1/(j-alpha-1)
-are added back analytically), and adaptive quadrature elsewhere; the
-regulator is zeta(-alpha) minus that finite part divided by Gamma(-alpha).
+are added back analytically).  On [0, x_s] the subtracted remainder is its
+Taylor tail, integrated term by term in closed form; [x_s, 1] and
+[1, inf) are adaptive quadratures.  The regulator is zeta(-alpha) minus
+that finite part divided by Gamma(-alpha).
 
 ``frac_regulator`` dispatches: real alpha at an exact nonnegative integer
 goes to the exact integer formula, everything else (however close to an
@@ -28,7 +30,7 @@ from .generator import GeneratorSpec, phi_eval_real, require_hankel
 from .integer_trace import trace_integer
 from .quadrature import adaptive_quadrature, integrate_to_infinity
 from .series import PowerSeries
-from .special import polylog_series, rgamma, zeta_c
+from .special import SUM_ROUNDING, polylog_series, rgamma, zeta_c
 
 # largest |fp_mellin - circle_ray| a cross-checked value may show
 CROSSCHECK_TOL = 1e-7
@@ -38,7 +40,6 @@ CROSSCHECK_TOL = 1e-7
 class FinitePartResult:
     value: complex
     subtracted_terms: int
-    split_point: float
     tail_error: float
 
 
@@ -55,10 +56,12 @@ def finite_part_mellin(g: GeneratorSpec, alpha: complex,
 
     Split at x = 1; the first J Taylor terms of phi(-x)**(-alpha-1) are
     removed on [0, 1] and their finite parts 1/(j-alpha-1) added back
-    analytically.  Near the origin the subtracted remainder is evaluated
-    as the Taylor *tail* (direct subtraction there would amplify float
-    cancellation by the x**(-alpha-2) weight); beyond the switch point it
-    is evaluated by direct subtraction.
+    analytically.  Below the switch point x_s the subtracted remainder is
+    the Taylor *tail* (direct subtraction there would amplify float
+    cancellation by the x**(-alpha-2) weight), whose K terms integrate
+    exactly to t_k x_s**e_k / e_k; its error is the summation rounding
+    plus the last term.  On [x_s, 1] the remainder is evaluated by direct
+    subtraction and integrated adaptively, as is [1, inf).
     """
     alpha = complex(alpha)
     if alpha.real <= -1.0:
@@ -71,43 +74,40 @@ def finite_part_mellin(g: GeneratorSpec, alpha: complex,
     # one extra subtracted term beyond the convergence minimum keeps the
     # remainder exponent J - alpha - 2 strictly positive near integers
     J = math.floor(alpha.real) + 3
-    K = 120  # Taylor-tail terms kept for the inner interval
+    K = 120  # Taylor-tail terms integrated in closed form on [0, x_s]
     s = -(alpha + 1.0)
     signed = [(-1) ** k * c for k, c in enumerate(g.phi_reduced_np[::-1].tolist())]
     coeffs = PowerSeries(signed, order=J + K + 1).cpow(s).coeffs
-    a, tail_coeffs = coeffs[:J], coeffs[J:J + K]
+    a, tail_coeffs = coeffs[:J], np.array(coeffs[J:J + K])
     xs = g.taylor_switch_radius
-
-    def integrand_inner(x: np.ndarray) -> np.ndarray:
-        acc = np.zeros(x.shape, dtype=complex)
-        for c in reversed(tail_coeffs):
-            acc = acc * x + c
-        return np.exp((J - alpha - 2.0) * np.log(x)) * acc
 
     def integrand_outer(x: np.ndarray) -> np.ndarray:
         base = np.polyval(g.phi_reduced_np, -x)
         psi = np.exp(s * np.log(base))
-        sub = np.zeros(x.shape, dtype=complex)
-        for c in reversed(a):
-            sub = sub * x + c
+        sub = np.polyval(a[::-1], x)
         return np.exp((-alpha - 2.0) * np.log(x)) * (psi - sub)
 
     def integrand_right(x: np.ndarray) -> np.ndarray:
         base = np.polyval(g.phi_reduced_np, -x)
         return np.exp(s * np.log(base)) * np.exp((-alpha - 2.0) * np.log(x))
 
-    inner = adaptive_quadrature(integrand_inner, 0.0, xs, tol=tol / 3)
+    # int_0^xs x**(k+J-alpha-2) dx = xs**e_k / e_k with e_k = k + J - 1 - alpha
+    # > 1, ordered like the analytic terms below
+    e = np.arange(J, J + K) - 1.0 - alpha
+    terms = tail_coeffs * np.exp(e * math.log(xs)) / e
+    abs_terms = np.abs(terms)
+    inner = complex(terms.sum())
+    inner_err = float(SUM_ROUNDING * abs_terms.sum() + abs_terms[-1])
     outer = adaptive_quadrature(integrand_outer, xs, 1.0, tol=tol / 3)
     right = integrate_to_infinity(integrand_right, 1.0, tol=tol / 3)
     # (j - 1.0) - alpha is exact near the pole at alpha = j - 1, while
     # (j - alpha) - 1.0 rounds at the ulp of 1 just below it
     analytic = sum(a[j] / (j - 1.0 - alpha) for j in range(J))
-    value = inner.value + outer.value + analytic + right.value
+    value = inner + outer.value + analytic + right.value
     return FinitePartResult(
         value=value,
         subtracted_terms=J,
-        split_point=1.0,
-        tail_error=inner.err_estimate + outer.err_estimate + right.err_estimate,
+        tail_error=inner_err + outer.err_estimate + right.err_estimate,
     )
 
 
@@ -120,13 +120,17 @@ def frac_regulator_fp(g: GeneratorSpec, alpha: complex,
     rg = rgamma(-alpha)
     zeta_part = zeta_c(-alpha)
     correction = -fp.value * rg
+    total = zeta_part + correction
     return RegulatorValue(
         alpha=alpha,
         zeta_part=zeta_part,
         correction=correction,
-        total=zeta_part + correction,
+        total=total,
         route="fp_mellin",
-        err_estimate=fp.tail_error * abs(rg) + 1e-13 * (1.0 + abs(zeta_part)),
+        # never below the rounding of a total that reaches 1e3 on steep
+        # generators
+        err_estimate=max(fp.tail_error * abs(rg) + 1e-13 * (1.0 + abs(zeta_part)),
+                         SUM_ROUNDING * abs(total)),
     )
 
 

@@ -8,6 +8,7 @@ summed |K15 - G7| estimate meets the absolute tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,7 +77,8 @@ def adaptive_quadrature(f: Callable, a: float, b: float, tol: float = 1e-11,
     """Integrate f over [a, b] to the given absolute tolerance.
 
     Raises QuadratureFailureError when the panel budget is exhausted with
-    the summed error estimate still above tol.
+    the summed error estimate still above tol, or when that estimate is not
+    finite (no panel could then be chosen for splitting).
     """
     if a == b:
         return QuadratureResult(0.0 + 0.0j, 0.0, 0, 0)
@@ -89,6 +91,9 @@ def adaptive_quadrature(f: Callable, a: float, b: float, tol: float = 1e-11,
         total_err = float(errs.sum())
         if total_err <= tol:
             break
+        if not math.isfinite(total_err):
+            raise QuadratureFailureError(
+                f"quadrature error estimate is {total_err} with {len(lo)} panels")
         if len(lo) >= max_panels:
             raise QuadratureFailureError(
                 f"quadrature did not reach tol={tol}; "

@@ -14,7 +14,7 @@ import cmath
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NonzeroInnerConstantError, ZeroConstantTermError
+from .errors import ZeroConstantTermError
 
 
 def _is_exact_int(s) -> bool:
@@ -126,11 +126,6 @@ class PowerSeries:
             out.append(-inv0 * acc)
         return PowerSeries(out)
 
-    def __truediv__(self, other) -> "PowerSeries":
-        if isinstance(other, PowerSeries):
-            return self * other.reciprocal()
-        return self * _invert(other)
-
     # --- calculus ---------------------------------------------------------
 
     def diff(self) -> "PowerSeries":
@@ -143,40 +138,6 @@ class PowerSeries:
         """Termwise antiderivative with zero constant; order grows by one."""
         zero = self.coeffs[0] * 0
         return PowerSeries([zero] + [_divint(self.coeffs[k], k + 1) for k in range(len(self.coeffs))])
-
-    # --- composition and transcendental maps --------------------------------
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner); requires inner(0) = 0 exactly."""
-        if inner.coeffs[0] != 0:
-            raise NonzeroInnerConstantError("composition needs inner constant term 0")
-        n = min(self.order, inner.order)
-        g = PowerSeries(inner.coeffs, order=n)
-        acc = PowerSeries([self.coeffs[n]], order=n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * g + self.coeffs[k]
-        return acc
-
-    def exp(self) -> "PowerSeries":
-        """exp of the series; exact in the rational field when c[0] = 0."""
-        a = self.coeffs
-        b0 = _const_exp(a[0])
-        out = [b0]
-        for n in range(1, len(a)):
-            acc = 1 * a[1] * out[n - 1]
-            for k in range(2, n + 1):
-                acc = acc + k * a[k] * out[n - k]
-            out.append(_divint(acc, n))
-        return PowerSeries(out)
-
-    def log(self) -> "PowerSeries":
-        """log of the series; needs c[0] != 0; exact when c[0] = 1."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise ZeroConstantTermError("log needs a nonzero constant term")
-        body = (self.diff() * self.reciprocal()).integrate()
-        c0 = _const_log(a[0])
-        return PowerSeries([body.coeffs[0] + c0] + list(body.coeffs[1:]), order=self.order)
 
     def cpow(self, s) -> "PowerSeries":
         """self**s via the power recurrence; needs c[0] != 0.
@@ -218,18 +179,6 @@ def _divint(c, n: int):
     if isinstance(c, (int, Fraction)):
         return Fraction(c, 1) / n
     return c / n
-
-
-def _const_exp(c):
-    if c == 0:
-        return c + 1  # stays exact in the rational field
-    return cmath.exp(complex(c))
-
-
-def _const_log(c):
-    if c == 1:
-        return c - 1  # exact zero in the field of c
-    return cmath.log(complex(c))
 
 
 def exp_series(order: int) -> PowerSeries:

@@ -1,10 +1,11 @@
 """CLI surface: CSV formats, exit codes, determinism, verify report."""
 
+import argparse
 import json
 
 import pytest
 
-from zetareg.cli import main, parse_alpha_grid, parse_grid, parse_m_range
+from zetareg.cli import build_parser, main, parse_alpha_grid, parse_grid, parse_m_range
 from zetareg.verify import check_bernoulli_expansion
 
 
@@ -42,6 +43,16 @@ class TestParsers:
             parse_m_range("3..1")
         with pytest.raises(ValueError):
             parse_grid("-3:3:-2:2:0:5")
+
+    def test_options_only_where_they_act(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        opts = {name: {o for a in p._actions for o in a.option_strings}
+                for name, p in sub.choices.items()}
+        assert {n for n, o in opts.items() if "--tol" in o} == {"frac", "zeta", "branchmap"}
+        assert {n for n, o in opts.items() if "--rho" in o} == {"frac"}
+        assert {n for n, o in opts.items() if "--generator" not in o} == {"stirling"}
+        assert all("--out" in o for o in opts.values())
 
 
 class TestTrace:
@@ -224,6 +235,20 @@ class TestErrors:
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"name": "bad", "inv_h": ["-1", "2"]}))
         assert main(["trace", "--generator", str(spec)]) == 2
+
+    def test_nonfinite_quadrature_exit_3(self, capsys):
+        # Z(0.95) = R(-0.95): the mapped [1, inf) panels shrink until a/u**2
+        # overflows and the error estimate turns NaN
+        with pytest.warns(RuntimeWarning):
+            assert main(["zeta", "--alpha-grid=0.95:0.95:1"]) == 3
+        assert capsys.readouterr().err.startswith("error: quadrature")
+
+    def test_overflow_exit_3(self, cubic_spec, tmp_path, capsys):
+        rc = main(["branchmap", "--generator", cubic_spec, "--alpha", "100.5",
+                   "--grid=-3:3:-3:3:41:41", "--out", str(tmp_path / "map.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_out_of_region_exit_3(self, cubic_spec):
         assert main(["frac", "--generator", cubic_spec,

@@ -15,7 +15,7 @@ from zetareg.fractional import (
     frac_regulator,
     frac_regulator_fp,
 )
-from zetareg.generator import make_generator, phi_eval_real
+from zetareg.generator import GeneratorSpec, make_generator, phi_eval_real
 from zetareg.integer_trace import trace_integer
 from zetareg.special import polylog_neg_int, zeta_c
 from zetareg.verify import CUBIC, RIEMANN, cubic_closed_form
@@ -23,6 +23,44 @@ from zetareg.verify import CUBIC, RIEMANN, cubic_closed_form
 # m +/- 10**-k, above 0 only at m = 0 (the region ends at alpha = -1)
 NEAR_INTEGER_ALPHAS = [m + sign * 10.0**-k for m in range(4) for k in range(3, 15)
                        for sign in (1, -1) if m or sign > 0]
+
+# generators whose phi(-x) has complex zeros close to the origin, so the
+# Taylor tail covers only [0, x_s] with x_s < 0.6: 1/h = 1 + 12 t^2
+# (x_s = 0.325) and the Hankel quartic (1 - t + 2t^2)(1 + t + 3t^2)
+STEEP = (make_generator([1, 0, 12], name="steep-cubic"),
+         make_generator([1, 0, 4, -1, 6], name="quartic"))
+# at 3.05 the steep-cubic total is about 1.1e3 and rounds beyond the
+# quadrature and tail estimates alone
+LATTICE_ALPHAS = [k / 4 for k in range(-3, 16) if k % 4] + [1 + 1e-3, 3.05]
+
+
+def mp_regulator(g: GeneratorSpec, alpha: float) -> complex:
+    """R_L(alpha) from the finite part evaluated in mpmath at 30 digits.
+
+    mp.taylor gives the coefficients of psi(x) = phi(-x)**(-alpha-1); the
+    first J are subtracted on [0.01, 1] (tanh-sinh) and added back as
+    finite parts, their tail is integrated termwise on [0, 0.01], where
+    direct subtraction would cancel every digit against x**(-alpha-2), and
+    [1, inf) is integrated as it stands.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        phi_neg = [mp.mpf(c.numerator) / c.denominator / (k + 1) * (-1) ** k
+                   for k, c in enumerate(g.inv_h.coeffs)][::-1]
+
+        def psi(x):
+            return mp.polyval(phi_neg, x) ** (-a - 1)
+
+        J = math.floor(alpha) + 3
+        t = mp.taylor(psi, 0, J + 20)
+        d = mp.mpf(1) / 100
+        tail = mp.fsum(t[j] * d ** (j - a - 1) / (j - a - 1) for j in range(J, len(t)))
+        head = t[:J][::-1]
+        sub = mp.quad(lambda x: x ** (-a - 2) * (psi(x) - mp.polyval(head, x)), [d, 1])
+        right = mp.quad(lambda x: x ** (-a - 2) * psi(x), [1, mp.inf])
+        analytic = mp.fsum(t[j] / (j - a - 1) for j in range(J))
+        return complex(mp.zeta(-a) - (tail + sub + analytic + right) * mp.rgamma(-a))
 
 
 class TestFinitePart:
@@ -42,7 +80,6 @@ class TestFinitePart:
         for a in (-0.5, 0.5, 2.5):
             fp = finite_part_mellin(CUBIC, a)
             assert fp.subtracted_terms >= math.floor(a) + 2
-            assert fp.split_point == 1.0
             assert fp.tail_error >= 0
 
     def test_hankel_gate(self):
@@ -52,6 +89,18 @@ class TestFinitePart:
     def test_series_only_gate(self):
         with pytest.raises(HankelConditionsFailedError):
             finite_part_mellin(make_generator([1], polynomial=False), 0.5)
+
+
+class TestSteepGeneratorOracle:
+    @pytest.mark.parametrize("g", STEEP, ids=lambda g: g.name)
+    def test_matches_mpmath_finite_part(self, g):
+        assert g.taylor_switch_radius < 0.6
+        for alpha in LATTICE_ALPHAS:
+            R = frac_regulator_fp(g, alpha)
+            want = mp_regulator(g, alpha)
+            err = abs(R.total - want)
+            assert err / max(1.0, abs(want)) <= 1e-12, alpha
+            assert err <= R.err_estimate, alpha
 
 
 class TestFpRegulator:
