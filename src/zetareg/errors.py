@@ -55,10 +55,6 @@ class NotPolynomialError(ZetaRegError):
 
 # --- traces and regulators ------------------------------------------------
 
-class TruncationTooLowError(ZetaRegError):
-    """Series truncation order is too small for the requested trace order."""
-
-
 class UnsupportedOrderError(ZetaRegError):
     """Closed-form trace identities exist only for m <= 3."""
 

@@ -144,7 +144,7 @@ def load_generator(path) -> GeneratorSpec:
 
 def build_phi(g: GeneratorSpec, order: int) -> PowerSeries:
     """phi = Phi/z, exact, from Phi truncated at the given order."""
-    return PowerSeries(g.inv_h.truncate(order - 1).integrate().coeffs[1:])
+    return PowerSeries(g.inv_h.integrate().coeffs[1:], order=order - 1)
 
 
 def phi_eval_real(g: GeneratorSpec, x: float) -> float:

@@ -2,9 +2,10 @@
 
 Three independent routes, all in exact rational arithmetic:
 
-* ``trace_integer``     -- m! [z^(m+1)] (1/phi)^(m+1) via reciprocal-then-power
-                           (the coefficient-extraction form of the residue
-                           formula).
+* ``trace_integer``     -- m! [z^(m+1)] phi^(-(m+1)), one exact negative power
+                           of the polynomial phi by the sparse integer power
+                           recurrence (the coefficient-extraction form of
+                           the residue formula).
 * ``trace_closed_form`` -- the explicit h-derivative formulas for m <= 3.
 * ``trace_laurent_oracle`` -- direct Laurent bookkeeping of
                            m! Phi(z)^(-m-1) = m! z^(-m-1) (phi^(m+1))^(-1),
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import TruncationTooLowError, UnsupportedOrderError
+from .errors import UnsupportedOrderError
 from .generator import GeneratorSpec, build_phi
 from .special import zeta_neg_int
 
@@ -31,17 +32,17 @@ class TraceValue:
     total: Fraction
 
 
-def trace_integer(g: GeneratorSpec, m: int, order: int | None = None) -> TraceValue:
-    """Exact regularized value of sum(n^m) for nonnegative integer m."""
+def trace_integer(g: GeneratorSpec, m: int) -> TraceValue:
+    """Exact regularized value of sum(n^m) for nonnegative integer m.
+
+    The correction is m! [z^(m+1)] phi^(-(m+1)), read off
+    ``PowerSeries.cpow`` at the exponent -(m+1) directly (no reciprocal);
+    on rationals that power runs in integers over the nonzero
+    coefficients of phi only, O(m d) for a degree-d generator.
+    """
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    if order is None:
-        order = m + 2
-    if order < m + 2:
-        raise TruncationTooLowError(f"need truncation order >= {m + 2}, got {order}")
-    phi = build_phi(g, order=order)
-    psi = phi.reciprocal().cpow(m + 1)
-    correction = factorial(m) * psi[m + 1]
+    correction = factorial(m) * build_phi(g, m + 2).cpow(-(m + 1))[m + 1]
     zeta_part = zeta_neg_int(m)
     return TraceValue(m=m, zeta_part=zeta_part, correction=correction,
                       total=zeta_part + correction)
@@ -72,7 +73,7 @@ def trace_closed_form(g: GeneratorSpec, m: int) -> Fraction:
     return zeta_neg_int(m) + corr
 
 
-def trace_laurent_oracle(g: GeneratorSpec, m: int, order: int | None = None) -> Fraction:
+def trace_laurent_oracle(g: GeneratorSpec, m: int) -> Fraction:
     """Constant Laurent coefficient of m! Phi^(-m-1) plus zeta(-m).
 
     Independent of :func:`trace_integer`: phi is raised to the (m+1)-st
@@ -82,11 +83,7 @@ def trace_laurent_oracle(g: GeneratorSpec, m: int, order: int | None = None) -> 
     """
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    if order is None:
-        order = m + 2
-    if order < m + 2:
-        raise TruncationTooLowError(f"need truncation order >= {m + 2}, got {order}")
-    phi = build_phi(g, order=order)
+    phi = build_phi(g, m + 2)
     power = phi
     for _ in range(m):
         power = power * phi

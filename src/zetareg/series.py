@@ -5,12 +5,16 @@ with truncation order ``N``.  Coefficients may be :class:`fractions.Fraction`
 (exact arithmetic, used for the integer trace identities) or ``complex`` /
 ``float`` (used for the fractional and quadrature work).  Binary operations
 truncate to the smaller operand order; ``integrate`` extends the order by
-one.  Instances are immutable and safe to share.
+one.  ``cpow`` runs the power recurrence over the nonzero coefficients
+only, so a polynomial of degree d padded to order N costs O(N d); an
+integer power of a rational series runs in Python ints.  Instances are
+immutable and safe to share.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -142,27 +146,40 @@ class PowerSeries:
     def cpow(self, s) -> "PowerSeries":
         """self**s via the power recurrence; needs c[0] != 0.
 
-        Integer s keeps the coefficient field (exact over rationals);
-        non-integer s coerces to complex and uses the principal branch
-        for c[0]**s.
+        b[n] = (1/(n c[0])) sum_k ((s+1) k - n) c[k] b[n-k], with the sum
+        over the nonzero c[k] only (k <= n), so a polynomial of degree d
+        padded to order N costs O(N d), not O(N**2).
+
+        Integer s on exact rationals runs in Python ints (see
+        :func:`_rational_pow`) and returns Fractions.  Other integer s keeps
+        the coefficient field; non-integer s coerces to complex and uses
+        the principal branch for c[0]**s.
         """
         a = self.coeffs
         if a[0] == 0:
             raise ZeroConstantTermError("cpow needs a nonzero constant term")
         if _is_exact_int(s):
             s = int(s)
+            if all(isinstance(c, (int, Fraction)) for c in a):
+                return PowerSeries(_rational_pow(a, s))
             b0 = a[0] ** s if s >= 0 else _invert(a[0]) ** (-s)
         else:
             a = tuple(complex(c) for c in a)
             s = complex(s)
             b0 = cmath.exp(s * cmath.log(a[0]))
         inv0 = _invert(a[0])
+        # (k, (s+1) k, c[k]) for the nonzero c[k]; skipping the zero ones
+        # leaves every sum (and its order of addition) as it was
+        terms = [(k, (s + 1) * k, c) for k, c in enumerate(a) if k and c != 0]
         out = [b0]
         for n in range(1, len(a)):
-            acc = ((s + 1) * 1 - n) * a[1] * out[n - 1]
-            for k in range(2, n + 1):
-                acc = acc + ((s + 1) * k - n) * a[k] * out[n - k]
-            out.append(_divint(inv0 * acc, n))
+            acc = None
+            for k, sk, c in terms:
+                if k > n:
+                    break
+                t = (sk - n) * c * out[n - k]
+                acc = t if acc is None else acc + t
+            out.append(_divint(inv0 * acc, n) if acc is not None else b0 * 0)
         return PowerSeries(out)
 
     def truncate(self, order: int) -> "PowerSeries":
@@ -173,6 +190,37 @@ def _invert(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(1) / c
     return 1 / c
+
+
+def _rational_pow(a: tuple, s: int) -> list:
+    """Coefficients of a**s for rationals a and integer s, as Fractions.
+
+    With a = A/D (D the common denominator, A integers) the scaled
+    coefficients e[j] = A0**(j-s) [z**j] A**s are integers (for s >= 0 a
+    term of [z**j] A**s takes A0 from at least s - j factors; for s < 0,
+    A**s = A0**s (1 + (A - A0)/A0)**s), and the power recurrence for them is
+    e[n] = (1/n) sum_k ((s+1) k - n) A[k] A0**(k-1) e[n-k];
+    each division by n is exact.  Then b[j] = e[j] / (A0**(j-s) D**s).
+    """
+    D = math.lcm(*(c.denominator for c in a))
+    A = [c.numerator * (D // c.denominator) for c in a]
+    A0 = A[0]
+    terms = [(k, (s + 1) * k, c * A0 ** (k - 1)) for k, c in enumerate(A) if k and c]
+    e = [1]
+    for n in range(1, len(A)):
+        acc = 0
+        for k, sk, w in terms:
+            if k > n:
+                break
+            acc += (sk - n) * w * e[n - k]
+        q, r = divmod(acc, n)
+        if r:
+            raise ArithmeticError(f"power recurrence: {acc} not divisible by {n}")
+        e.append(q)
+    num = D ** max(-s, 0)
+    den = D ** max(s, 0)
+    return [Fraction(e[j] * num * A0 ** max(s - j, 0), den * A0 ** max(j - s, 0))
+            for j in range(len(e))]
 
 
 def _divint(c, n: int):

@@ -36,30 +36,41 @@ TWO_PI = 2.0 * math.pi
 # exact integer/rational tables
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Each table is computed once, up to the largest size asked for so far, and
+# grown by rebinding to a longer tuple, so a concurrent reader never sees a
+# half-grown table.
+_BERNOULLI = (Fraction(1),)
+_EULERIAN = ((1,),)
+
+
 def bernoulli_values(K: int) -> tuple:
     """B_0..B_K from the defining recurrence sum_j C(k+1, j) B_j = 0,
     with the B_1 = -1/2 convention."""
-    B = [Fraction(1)]
-    for k in range(1, K + 1):
-        s = sum(comb(k + 1, j) * B[j] for j in range(k))
-        B.append(Fraction(-s, k + 1))
-    return tuple(B)
+    global _BERNOULLI
+    if len(_BERNOULLI) <= K:
+        B = list(_BERNOULLI)
+        for k in range(len(B), K + 1):
+            s = sum(comb(k + 1, j) * B[j] for j in range(k))
+            B.append(Fraction(-s, k + 1))
+        _BERNOULLI = tuple(B)
+    return _BERNOULLI[:K + 1]
 
 
-@lru_cache(maxsize=None)
 def eulerian_rows(M: int) -> tuple:
     """Eulerian numbers, rows m = 0..M; row m holds <m, 0> .. <m, max(m-1, 0)>."""
-    rows = [(1,)]
-    for m in range(1, M + 1):
-        prev = rows[m - 1]
-        row = []
-        for k in range(m):
-            a = (k + 1) * prev[k] if k < len(prev) else 0
-            b = (m - k) * prev[k - 1] if 0 <= k - 1 < len(prev) else 0
-            row.append(a + b)
-        rows.append(tuple(row))
-    return tuple(rows)
+    global _EULERIAN
+    if len(_EULERIAN) <= M:
+        rows = list(_EULERIAN)
+        for m in range(len(rows), M + 1):
+            prev = rows[m - 1]
+            row = []
+            for k in range(m):
+                a = (k + 1) * prev[k] if k < len(prev) else 0
+                b = (m - k) * prev[k - 1] if 0 <= k - 1 < len(prev) else 0
+                row.append(a + b)
+            rows.append(tuple(row))
+        _EULERIAN = tuple(rows)
+    return _EULERIAN[:M + 1]
 
 
 def zeta_neg_int(m: int) -> Fraction:

@@ -2,11 +2,16 @@
 
 import argparse
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from zetareg.cli import build_parser, main, parse_alpha_grid, parse_grid, parse_m_range
+from zetareg.generator import load_generator
 from zetareg.verify import check_bernoulli_expansion
+
+DEMO_SPECS = sorted((Path(__file__).resolve().parents[1] / "demos" / "generators").glob("*.json"))
 
 
 @pytest.fixture
@@ -85,6 +90,17 @@ class TestTrace:
         main(["trace", "--generator", cubic_spec, "--m-range", "0..6",
               "--out", str(out)])
         assert len(out.read_text().splitlines()) == 8
+
+    @pytest.mark.parametrize("spec", DEMO_SPECS, ids=lambda p: p.stem)
+    def test_demo_rows_match_laurent_route(self, spec, tmp_path, laurent_traces):
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--generator", str(spec), "--m-range", "0..60",
+                     "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        want = laurent_traces(load_generator(spec), 60)
+        assert [int(r[0]) for r in rows] == list(range(61))
+        assert [Fraction(r[3]) for r in rows] == want
+        assert all(Fraction(r[1]) + Fraction(r[2]) == Fraction(r[3]) for r in rows)
 
 
 class TestFrac:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetareg.errors import TruncationTooLowError, UnsupportedOrderError
+from zetareg.errors import UnsupportedOrderError
 from zetareg.generator import make_generator
 from zetareg.integer_trace import (
     trace_closed_form,
@@ -85,6 +85,16 @@ class TestThreeRouteAgreement:
             for m in range(4, 8):
                 assert trace_integer(g, m).total == trace_laurent_oracle(g, m)
 
+    def test_series_only_degree_six_to_m_80(self, laurent_traces):
+        rng = random.Random(6)
+        for den in (2, 3):
+            coeffs = [F(rng.randint(1, 5), den)]
+            coeffs += [F(rng.randint(-5, 5), den) for _ in range(5)] + [F(1, den)]
+            g = make_generator(coeffs, polynomial=False)
+            want = laurent_traces(g, 80)
+            assert want[:21] == [trace_laurent_oracle(g, m) for m in range(21)]
+            assert [trace_integer(g, m).total for m in range(81)] == want, den
+
 
 class TestStructure:
     def test_locality_in_inv_h_coefficients(self, verify_check):
@@ -95,10 +105,6 @@ class TestStructure:
 
 
 class TestErrors:
-    def test_truncation_too_low(self):
-        with pytest.raises(TruncationTooLowError):
-            trace_integer(make_generator([1, 2]), 3, order=2)
-
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrderError):
             trace_closed_form(make_generator([1]), 4)

@@ -1,14 +1,18 @@
 """Power series arithmetic: frozen examples, oracles, and ring invariants."""
 
+import cmath
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from zetareg.errors import ZeroConstantTermError
+from zetareg.generator import load_generator
 from zetareg.series import PowerSeries
 
 F = Fraction
+DEMOS = Path(__file__).resolve().parents[1] / "demos" / "generators"
 
 
 def fps(*coeffs):
@@ -92,13 +96,46 @@ class TestPowers:
             assert got == pytest.approx(complex(want), abs=1e-15)
 
     def test_integer_power_matches_repeated_mul(self):
+        # rational series with interior zeros, a0 of either sign and
+        # |a0| != 1; s from -8 to 8 against repeated mul of a or 1/a
         rng = random.Random(99)
-        for k in range(1, 6):
-            a = random_rational_series(rng, 10, nonzero_const=True)
-            prod = a
-            for _ in range(k - 1):
-                prod = prod * a
-            assert a.cpow(k) == prod
+        for trial in range(12):
+            a = list(random_rational_series(rng, rng.randint(0, 12)).coeffs)
+            a[0] = F(rng.choice([-1, 1]) * rng.randint(2, 7), rng.randint(1, 4))
+            for k in rng.sample(range(1, len(a)), min(3, len(a) - 1)):
+                a[k] = F(0)
+            a = PowerSeries(a)
+            for s in range(-8, 9):
+                base = a if s >= 0 else a.reciprocal()
+                want = PowerSeries([F(1)], order=a.order)
+                for _ in range(abs(s)):
+                    want = want * base
+                got = a.cpow(s)
+                assert got == want, (trial, s)
+                assert all(isinstance(c, F) for c in got)
+
+    def test_complex_power_is_the_dense_recurrence_bit_for_bit(self):
+        # phi(-x) of the demo generators, as the fp route's Taylor base
+        def dense_cpow(a, s):
+            b = [cmath.exp(s * cmath.log(a[0]))]
+            inv0 = 1 / a[0]
+            for n in range(1, len(a)):
+                acc = ((s + 1) * 1 - n) * a[1] * b[n - 1]
+                for k in range(2, n + 1):
+                    acc = acc + ((s + 1) * k - n) * a[k] * b[n - k]
+                b.append(inv0 * acc / n)
+            return b
+
+        def bits(zs):
+            return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+        for path in sorted(DEMOS.glob("*.json")):
+            phi = load_generator(path).phi_reduced_np[::-1].tolist()
+            signed = PowerSeries([(-1) ** k * c for k, c in enumerate(phi)], order=125)
+            a = [complex(c) for c in signed.coeffs]
+            for s in (-1.5, -2.75, -4.0 + 0.0j, 0.5 - 0.25j, -7.9):
+                assert bits(signed.cpow(s).coeffs) == bits(dense_cpow(a, complex(s))), \
+                    (path.name, s)
 
     def test_zero_constant_rejected(self):
         with pytest.raises(ZeroConstantTermError):

@@ -18,6 +18,7 @@ from zetareg.errors import (
 from zetareg.special import (
     NEAR_ONE_RADIUS,
     bernoulli_values,
+    eulerian_rows,
     gamma_c,
     polylog_expand_near_one,
     polylog_grid,
@@ -82,6 +83,11 @@ class TestBernoulli:
     def test_generating_series(self, verify_check):
         assert verify_check("bernoulli_expansion").status == "pass"
 
+    def test_growing_table_keeps_its_prefixes(self):
+        tables = [bernoulli_values(K) for K in (7, 40, 3, 0, 61)]
+        assert [len(B) for B in tables] == [8, 41, 4, 1, 62]
+        assert all(B == tables[-1][:len(B)] for B in tables)
+
 
 class TestEulerian:
     def test_row_sums_are_factorials(self, verify_check):
@@ -89,6 +95,12 @@ class TestEulerian:
 
     def test_first_entry_and_symmetry(self, verify_check):
         assert verify_check("eulerian_table").status == "pass"
+
+    def test_growing_table_keeps_its_prefixes(self):
+        tables = [eulerian_rows(M) for M in (5, 30, 2, 0, 33)]
+        assert [len(rows) for rows in tables] == [6, 31, 3, 1, 34]
+        assert all(rows == tables[-1][:len(rows)] for rows in tables)
+        assert all(sum(row) == math.factorial(m) for m, row in enumerate(tables[-1]))
 
 
 class TestZetaNegInt:
